@@ -1,7 +1,8 @@
 //! [`ChaosBackend`]: fault injection at the evaluation seam.
 //!
 //! Wraps any [`EvalBackend`] and fires the plan's backend sub-schedule
-//! — panics, hangs, non-finite measurements — on real `measure` calls.
+//! — panics, hangs, non-finite measurements — on the lanes of real
+//! `measure_batch` calls.
 //! Injection is budget-aware by construction: at most
 //! [`ChaosBackend::MAX_FAULTS_PER_CANDIDATE`] faults ever land on one
 //! candidate, strictly below the runner's default retry budget, so a
@@ -9,12 +10,15 @@
 //! and chaos runs stay byte-identical to fault-free ones.
 
 use crate::plan::{FaultKind, FaultLayer, FaultPlan};
-use gest_core::{EvalBackend, EvalRequest, GestError};
+use gest_core::{catch_measure, EvalBackend, EvalRequest, GestError, MeasuredBatch};
 use gest_sim::RunResult;
 use gest_telemetry::Telemetry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
+
+/// One lane's measurement outcome.
+type Lane = Result<(Vec<f64>, Option<RunResult>), GestError>;
 
 /// An [`EvalBackend`] decorator that injects the backend-layer faults of
 /// a [`FaultPlan`] ahead of the wrapped backend.
@@ -85,6 +89,41 @@ impl ChaosBackend {
         *fired += 1;
         queue.pop_front()
     }
+
+    /// Fires the next scheduled fault on `request`, if any: the lane's
+    /// replacement outcome for a panic or a NaN vector, or `None` when the
+    /// lane goes on to the real measurement (no fault, or a hang that
+    /// sleeps past the watchdog first).
+    fn inject(&self, request: &EvalRequest<'_>) -> Option<Lane> {
+        let kind = self.take_fault(request.candidate_id)?;
+        self.telemetry.add_counter(&kind.counter(), 1);
+        self.telemetry.point(
+            "chaos.inject",
+            &[
+                ("kind", kind.name().into()),
+                ("candidate", request.candidate_id.into()),
+                ("generation", u64::from(request.generation).into()),
+            ],
+        );
+        match kind {
+            FaultKind::MeasurePanic => Some(catch_measure(request.candidate_id, || {
+                panic!(
+                    "chaos: injected measurement panic (candidate {})",
+                    request.candidate_id
+                )
+            })),
+            FaultKind::MeasureHang => {
+                // Sleep past the watchdog, then fall through to the real
+                // measurement: the caller has long since abandoned this
+                // attempt, which is exactly the orphaned-thread shape a
+                // genuine hang produces.
+                std::thread::sleep(Duration::from_millis(self.hang_ms));
+                None
+            }
+            FaultKind::NonFiniteMeasurement => Some(Ok((vec![f64::NAN], None))),
+            other => unreachable!("{other} is not a backend-layer fault"),
+        }
+    }
 }
 
 impl EvalBackend for ChaosBackend {
@@ -101,33 +140,41 @@ impl EvalBackend for ChaosBackend {
         slot: usize,
         request: &EvalRequest<'_>,
     ) -> Result<(Vec<f64>, Option<RunResult>), GestError> {
-        if let Some(kind) = self.take_fault(request.candidate_id) {
-            self.telemetry.add_counter(&kind.counter(), 1);
-            self.telemetry.point(
-                "chaos.inject",
-                &[
-                    ("kind", kind.name().into()),
-                    ("candidate", request.candidate_id.into()),
-                    ("generation", u64::from(request.generation).into()),
-                ],
-            );
-            match kind {
-                FaultKind::MeasurePanic => panic!(
-                    "chaos: injected measurement panic (candidate {})",
-                    request.candidate_id
-                ),
-                FaultKind::MeasureHang => {
-                    // Sleep past the watchdog, then fall through to the
-                    // real measurement: the caller has long since
-                    // abandoned this attempt, which is exactly the
-                    // orphaned-thread shape a genuine hang produces.
-                    std::thread::sleep(Duration::from_millis(self.hang_ms));
-                }
-                FaultKind::NonFiniteMeasurement => return Ok((vec![f64::NAN], None)),
-                other => unreachable!("{other} is not a backend-layer fault"),
-            }
+        self.measure_batch(slot, std::slice::from_ref(request))
+            .pop()
+            .expect("one lane per request")
+    }
+
+    fn lane_width(&self) -> usize {
+        self.inner.lane_width()
+    }
+
+    /// Fires scheduled faults lane by lane, then hands every lane a fault
+    /// did not replace to the inner backend as one batch. An injected
+    /// panic is contained to its own lane by [`catch_measure`].
+    fn measure_batch(&self, slot: usize, requests: &[EvalRequest<'_>]) -> MeasuredBatch {
+        let injected: Vec<_> = requests
+            .iter()
+            .map(|request| self.inject(request))
+            .collect();
+        let forwarded: Vec<EvalRequest<'_>> = requests
+            .iter()
+            .zip(&injected)
+            .filter(|(_, lane)| lane.is_none())
+            .map(|(request, _)| *request)
+            .collect();
+        let measured = self.inner.measure_batch(slot, &forwarded);
+        if measured.len() != forwarded.len() {
+            // Malformed: let the runner fail the call as a whole.
+            return measured;
         }
-        self.inner.measure(slot, request)
+        let mut measured = measured.into_iter();
+        injected
+            .into_iter()
+            .map(|lane| {
+                lane.unwrap_or_else(|| measured.next().expect("one result per forwarded lane"))
+            })
+            .collect()
     }
 }
 
@@ -153,6 +200,115 @@ mod tests {
             request: &EvalRequest<'_>,
         ) -> Result<(Vec<f64>, Option<RunResult>), GestError> {
             Ok((vec![request.candidate_id as f64], None))
+        }
+    }
+
+    /// Records the lane count of every batch it forwards to `inner`.
+    #[derive(Debug)]
+    struct BatchRecorder {
+        inner: Arc<dyn EvalBackend>,
+        calls: Mutex<Vec<usize>>,
+    }
+
+    impl EvalBackend for BatchRecorder {
+        fn name(&self) -> &str {
+            "recorder"
+        }
+        fn slots(&self, pending: usize) -> usize {
+            self.inner.slots(pending)
+        }
+        fn measure(
+            &self,
+            slot: usize,
+            request: &EvalRequest<'_>,
+        ) -> Result<(Vec<f64>, Option<RunResult>), GestError> {
+            self.inner.measure(slot, request)
+        }
+        fn lane_width(&self) -> usize {
+            self.inner.lane_width()
+        }
+        fn measure_batch(&self, slot: usize, requests: &[EvalRequest<'_>]) -> MeasuredBatch {
+            self.calls.lock().unwrap().push(requests.len());
+            self.inner.measure_batch(slot, requests)
+        }
+    }
+
+    #[test]
+    fn decorators_forward_lane_width_and_whole_batches() {
+        use crate::StepPanicBackend;
+        use gest_core::{GestConfig, GestRun, LocalBackend, Registry};
+
+        let config = GestConfig::builder("cortex-a15")
+            .population_size(4)
+            .individual_size(6)
+            .build()
+            .unwrap();
+        let measurement = Registry::default()
+            .build_measurement("power", config.machine.clone(), config.run_config)
+            .unwrap();
+        let local: Arc<dyn EvalBackend> =
+            Arc::new(LocalBackend::new(measurement, config.template.clone(), 1).with_lane_width(4));
+        // A seeded generation supplies four random individuals.
+        let mut run = GestRun::builder().config(config).build().unwrap();
+        run.step().unwrap();
+        let genes: Vec<_> = run
+            .population()
+            .unwrap()
+            .individuals
+            .iter()
+            .map(|individual| individual.genes.clone())
+            .collect();
+        let requests: Vec<EvalRequest<'_>> = genes
+            .iter()
+            .enumerate()
+            .map(|(id, genes)| EvalRequest {
+                generation: 0,
+                candidate_id: id as u64,
+                genes,
+            })
+            .collect();
+        let bits = |batch: MeasuredBatch| -> Vec<(Vec<u64>, Option<RunResult>)> {
+            batch
+                .into_iter()
+                .map(|lane| {
+                    let (values, detail) = lane.unwrap();
+                    (values.iter().map(|v| v.to_bits()).collect(), detail)
+                })
+                .collect()
+        };
+        let reference = bits(local.measure_batch(0, &requests));
+
+        // No faults scheduled: the decorators must be transparent.
+        let plan = FaultPlan::generate(0, 0);
+        let recorder = || {
+            Arc::new(BatchRecorder {
+                inner: Arc::clone(&local),
+                calls: Mutex::new(Vec::new()),
+            })
+        };
+        let (chaos, step) = (recorder(), recorder());
+        let decorated: [(Arc<dyn EvalBackend>, &BatchRecorder); 2] = [
+            (
+                Arc::new(ChaosBackend::new(
+                    chaos.clone(),
+                    &plan,
+                    Telemetry::disabled(),
+                )),
+                &chaos,
+            ),
+            (
+                Arc::new(StepPanicBackend::new(
+                    step.clone(),
+                    &plan,
+                    Telemetry::disabled(),
+                )),
+                &step,
+            ),
+        ];
+        for (wrapped, recorder) in decorated {
+            assert_eq!(wrapped.lane_width(), 4, "{wrapped:?}");
+            assert_eq!(bits(wrapped.measure_batch(0, &requests)), reference);
+            assert_eq!(*recorder.calls.lock().unwrap(), vec![4], "one 4-lane call");
         }
     }
 

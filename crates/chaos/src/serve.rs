@@ -23,7 +23,9 @@
 
 use crate::soak::{artifact_snapshot, soak_config};
 use crate::{ChaosBackend, ChaosFs, FaultKind, FaultPlan};
-use gest_core::{EvalBackend, EvalRequest, GestError, GestRun, LocalBackend, Registry};
+use gest_core::{
+    EvalBackend, EvalRequest, GestError, GestRun, LocalBackend, MeasuredBatch, Registry,
+};
 use gest_obs::http_request;
 use gest_serve::{BackendFactory, ServeOptions, ServeServer};
 use gest_sim::RunResult;
@@ -101,6 +103,10 @@ impl EvalBackend for StepPanicBackend {
 
     fn lane_width(&self) -> usize {
         self.inner.lane_width()
+    }
+
+    fn measure_batch(&self, slot: usize, requests: &[EvalRequest<'_>]) -> MeasuredBatch {
+        self.inner.measure_batch(slot, requests)
     }
 }
 

@@ -39,8 +39,8 @@ pub struct GestConfig {
     /// Worker threads for individual evaluation (0 = all available).
     pub threads: usize,
     /// Candidates each evaluation slot batches through the simulator's
-    /// lockstep lanes per backend call (`0` and `1` both mean the
-    /// single-candidate path). Like `threads`, an execution detail: it is
+    /// lockstep lanes per backend call (`0` and `1` both mean one
+    /// candidate per call). Like `threads`, an execution detail: it is
     /// not serialized to XML, never perturbs checkpoint fingerprints, and
     /// any width produces byte-identical search artifacts — wider lanes
     /// only amortize per-run setup.
@@ -458,7 +458,7 @@ impl GestConfigBuilder {
     }
 
     /// Sets how many candidates each evaluation slot batches through the
-    /// simulator's lockstep lanes (0/1 = the single-candidate path). An
+    /// simulator's lockstep lanes (0/1 = one candidate per call). An
     /// execution detail like [`threads`](Self::threads): results are
     /// byte-identical at every width.
     pub fn lane_width(mut self, lane_width: usize) -> Self {

@@ -6,9 +6,6 @@
 
 use gest_isa::{Gene, InstructionPool};
 use std::fmt::Debug;
-use std::sync::Arc;
-
-use crate::error::GestError;
 
 /// Everything a fitness function may consult for one individual.
 #[derive(Debug, Clone, Copy)]
@@ -145,22 +142,6 @@ impl Fitness for IpcPowerFitness {
     }
 }
 
-/// Instantiates a shipped fitness function by its configuration name.
-///
-/// Known names: `default`, `temp_simplicity` (requires idle/max
-/// temperatures), `primary_minus_secondary`.
-///
-/// # Errors
-///
-/// [`GestError::Config`] for unknown names.
-#[deprecated(
-    since = "0.2.0",
-    note = "use Registry::default().build_fitness(name, FitnessParams { idle_c, max_c })"
-)]
-pub fn fitness_by_name(name: &str, idle_c: f64, max_c: f64) -> Result<Arc<dyn Fitness>, GestError> {
-    crate::Registry::default().build_fitness(name, crate::FitnessParams { idle_c, max_c })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,22 +227,6 @@ mod tests {
         let low_penalty = fitness.fitness(&context_with(&pool, &[], &[3.5, 0.0]));
         assert!((high_primary - 3.0).abs() < 1e-12);
         assert!(low_penalty > high_primary);
-    }
-
-    #[test]
-    #[allow(deprecated)] // deliberately exercises the legacy shim
-    fn registry_resolves_names() {
-        assert_eq!(
-            fitness_by_name("default", 0.0, 1.0).unwrap().name(),
-            "default"
-        );
-        assert_eq!(
-            fitness_by_name("temp_simplicity", 30.0, 105.0)
-                .unwrap()
-                .name(),
-            "temp_simplicity"
-        );
-        assert!(fitness_by_name("bogus", 0.0, 1.0).is_err());
     }
 
     #[test]

@@ -73,14 +73,10 @@ pub use error::GestError;
 pub use evalbackend::{catch_measure, watchdog_measure, EvalBackend, EvalRequest, LocalBackend};
 pub use evalcache::{genes_hash, CachedEval, EvalCache, EvalCacheStats, EvalKey, EVAL_CACHE_FILE};
 pub use fault::{FaultPolicy, QUARANTINE_FITNESS};
-#[allow(deprecated)]
-pub use fitness::fitness_by_name;
 pub use fitness::{
     DefaultFitness, Fitness, FitnessContext, IpcPowerFitness, TempSimplicityFitness,
 };
 pub use genetics::PoolGenetics;
-#[allow(deprecated)]
-pub use measurement::measurement_by_name;
 pub use measurement::{
     sim_fast_path_stats, CacheMissMeasurement, IpcMeasurement, MeasuredBatch, Measurement,
     NoisyMeasurement, PowerMeasurement, SimFastPathStats, TemperatureMeasurement,

@@ -12,6 +12,7 @@ use crate::error::GestError;
 use gest_isa::Program;
 use gest_sim::{MachineConfig, RunConfig, RunResult, Simulator};
 use std::fmt::Debug;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -80,38 +81,28 @@ pub trait Measurement: Send + Sync + Debug {
     }
 }
 
-/// Shared plumbing: a simulator plus run parameters.
-#[derive(Debug, Clone)]
-struct SimBacked {
-    simulator: Simulator,
-    run_config: RunConfig,
-}
-
 thread_local! {
-    /// One reusable simulator scratch per evaluation thread: decode
-    /// buffers, the per-cycle energy waveform, and steady-state detector
-    /// storage survive across the many programs a GA worker measures.
-    static SIM_SCRATCH: std::cell::RefCell<gest_sim::SimScratch> =
-        std::cell::RefCell::new(gest_sim::SimScratch::new());
-
-    /// The batched counterpart: per-lane scratch plus the shared memos
-    /// (fill-pattern hashes, thermal schedule) that make batch evaluation
-    /// cheaper than N single runs.
+    /// One reusable simulator scratch per evaluation thread: per-lane
+    /// decode buffers, energy waveforms, steady-state detector storage and
+    /// pooled instruments, plus the shared memos (fill-pattern hashes,
+    /// thermal schedule), survive across the many programs a worker
+    /// measures.
     static BATCH_SCRATCH: std::cell::RefCell<gest_sim::BatchScratch> =
         std::cell::RefCell::new(gest_sim::BatchScratch::new());
 }
 
 // Process-wide fast-path counters, drained from the thread-local scratch
-// after every run (the scratch dies with its worker thread, so per-thread
-// counters alone cannot be read after an evaluation pool winds down).
+// after every batch (the scratch dies with its worker thread, so
+// per-thread counters alone cannot be read after an evaluation pool winds
+// down).
 static SIM_RUNS: AtomicU64 = AtomicU64::new(0);
 static SIM_STEADY_HITS: AtomicU64 = AtomicU64::new(0);
 static SIM_EXTRAPOLATED_ITERATIONS: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide counters of the simulator's steady-state fast path across
 /// every sim-backed measurement in this process (see
-/// [`gest_sim::SimScratch`]). Monotonic; sample before and after a run and
-/// difference to scope them, as `gest bench` does.
+/// [`gest_sim::BatchScratch`]). Monotonic; sample before and after a run
+/// and difference to scope them, as `gest bench` does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SimFastPathStats {
     /// Simulator runs performed.
@@ -131,33 +122,70 @@ pub fn sim_fast_path_stats() -> SimFastPathStats {
     }
 }
 
-impl SimBacked {
-    fn run(&self, program: &Program) -> Result<RunResult, GestError> {
-        SIM_SCRATCH.with(|cell| {
-            let mut scratch = cell.borrow_mut();
-            let before = (
-                scratch.runs,
-                scratch.steady_hits,
-                scratch.extrapolated_iterations,
-            );
-            let result =
-                self.simulator
-                    .run_with_scratch(program, &self.run_config, &mut scratch)?;
-            SIM_RUNS.fetch_add(scratch.runs - before.0, Ordering::Relaxed);
-            SIM_STEADY_HITS.fetch_add(scratch.steady_hits - before.1, Ordering::Relaxed);
-            SIM_EXTRAPOLATED_ITERATIONS.fetch_add(
-                scratch.extrapolated_iterations - before.2,
-                Ordering::Relaxed,
-            );
-            Ok(result)
-        })
+/// What one simulator-backed measurement contributes: its configuration
+/// name, its metric names, and the projection from a simulator result to
+/// its metric vector. Everything else — running the simulator, batching,
+/// detail export — is [`SimMeasurement`]'s, shared by all of them.
+pub trait SimProjection: Send + Sync + Debug + 'static {
+    /// Identifier used in configuration files.
+    const NAME: &'static str;
+    /// Names of the projected values, in order.
+    const METRICS: &'static [&'static str];
+    /// The metric vector of one simulator result.
+    fn project(result: &RunResult) -> Vec<f64>;
+}
+
+/// A measurement that runs each program on a simulated machine and
+/// projects the result through `P`. A lone program is a batch of one
+/// through the simulator's lockstep core, so there is one evaluation
+/// path whatever the lane width.
+#[derive(Debug, Clone)]
+pub struct SimMeasurement<P> {
+    simulator: Simulator,
+    run_config: RunConfig,
+    projection: PhantomData<P>,
+}
+
+impl<P: SimProjection> SimMeasurement<P> {
+    fn on(machine: MachineConfig, run_config: RunConfig) -> SimMeasurement<P> {
+        SimMeasurement {
+            simulator: Simulator::new(machine),
+            run_config,
+            projection: PhantomData,
+        }
+    }
+}
+
+impl<P: SimProjection> Measurement for SimMeasurement<P> {
+    fn name(&self) -> &'static str {
+        P::NAME
     }
 
-    /// Runs every program through the simulator's lockstep batch core.
-    /// Per-lane results are bit-identical to [`run`](SimBacked::run); the
-    /// process-wide fast-path counters advance exactly as N single runs
-    /// would advance them.
-    fn run_batch(&self, programs: &[Program]) -> Vec<Result<RunResult, GestError>> {
+    fn content_pure(&self) -> bool {
+        true
+    }
+
+    fn metrics(&self) -> &'static [&'static str] {
+        P::METRICS
+    }
+
+    fn measure(&self, program: &Program) -> Result<Vec<f64>, GestError> {
+        Ok(self.measure_detailed(program)?.0)
+    }
+
+    fn measure_detailed(
+        &self,
+        program: &Program,
+    ) -> Result<(Vec<f64>, Option<RunResult>), GestError> {
+        self.measure_batch_detailed(std::slice::from_ref(program))
+            .pop()
+            .expect("one lane per program")
+    }
+
+    /// Runs every program through the simulator's lockstep batch core on
+    /// this thread's scratch; the process-wide fast-path counters advance
+    /// by what the batch did.
+    fn measure_batch_detailed(&self, programs: &[Program]) -> MeasuredBatch {
         BATCH_SCRATCH.with(|cell| {
             let mut scratch = cell.borrow_mut();
             let before = (
@@ -176,67 +204,50 @@ impl SimBacked {
             );
             results
                 .into_iter()
-                .map(|lane| lane.map_err(GestError::from))
+                .map(|lane| {
+                    let result = lane?;
+                    Ok((P::project(&result), Some(result)))
+                })
                 .collect()
         })
+    }
+}
+
+/// Average power (the ARM energy-probe stand-in; paper §V):
+/// `[avg_power_w, peak_power_w, ipc]`.
+#[derive(Debug, Clone, Copy)]
+pub struct Power;
+
+impl SimProjection for Power {
+    const NAME: &'static str = "power";
+    const METRICS: &'static [&'static str] = &["avg_power_w", "peak_power_w", "ipc"];
+    fn project(result: &RunResult) -> Vec<f64> {
+        vec![result.avg_power_w, result.peak_power_w, result.ipc]
     }
 }
 
 /// Average-power measurement (the ARM energy-probe stand-in; paper §V).
 ///
 /// Metrics: `[avg_power_w, peak_power_w, ipc]`.
-#[derive(Debug, Clone)]
-pub struct PowerMeasurement(SimBacked);
+pub type PowerMeasurement = SimMeasurement<Power>;
 
 impl PowerMeasurement {
     /// Creates the measurement for a machine.
     pub fn new(machine: MachineConfig, run_config: RunConfig) -> PowerMeasurement {
-        PowerMeasurement(SimBacked {
-            simulator: Simulator::new(machine),
-            run_config,
-        })
-    }
-
-    /// The one projection from a simulator result to this measurement's
-    /// metric vector, shared by the single and batched paths.
-    fn project(result: RunResult) -> (Vec<f64>, Option<RunResult>) {
-        (
-            vec![result.avg_power_w, result.peak_power_w, result.ipc],
-            Some(result),
-        )
+        SimMeasurement::on(machine, run_config)
     }
 }
 
-impl Measurement for PowerMeasurement {
-    fn name(&self) -> &'static str {
-        "power"
-    }
+/// Chip temperature (the i2c sensor stand-in; paper §V, X-Gene2):
+/// `[temperature_c, avg_power_w, ipc]`.
+#[derive(Debug, Clone, Copy)]
+pub struct Temperature;
 
-    fn content_pure(&self) -> bool {
-        true
-    }
-
-    fn metrics(&self) -> &'static [&'static str] {
-        &["avg_power_w", "peak_power_w", "ipc"]
-    }
-
-    fn measure(&self, program: &Program) -> Result<Vec<f64>, GestError> {
-        Ok(self.measure_detailed(program)?.0)
-    }
-
-    fn measure_detailed(
-        &self,
-        program: &Program,
-    ) -> Result<(Vec<f64>, Option<RunResult>), GestError> {
-        Ok(Self::project(self.0.run(program)?))
-    }
-
-    fn measure_batch_detailed(&self, programs: &[Program]) -> MeasuredBatch {
-        self.0
-            .run_batch(programs)
-            .into_iter()
-            .map(|lane| lane.map(Self::project))
-            .collect()
+impl SimProjection for Temperature {
+    const NAME: &'static str = "temperature";
+    const METRICS: &'static [&'static str] = &["temperature_c", "avg_power_w", "ipc"];
+    fn project(result: &RunResult) -> Vec<f64> {
+        vec![result.temperature_c, result.avg_power_w, result.ipc]
     }
 }
 
@@ -244,124 +255,58 @@ impl Measurement for PowerMeasurement {
 /// X-Gene2).
 ///
 /// Metrics: `[temperature_c, avg_power_w, ipc]`.
-#[derive(Debug, Clone)]
-pub struct TemperatureMeasurement(SimBacked);
+pub type TemperatureMeasurement = SimMeasurement<Temperature>;
 
 impl TemperatureMeasurement {
     /// Creates the measurement for a machine.
     pub fn new(machine: MachineConfig, run_config: RunConfig) -> TemperatureMeasurement {
-        TemperatureMeasurement(SimBacked {
-            simulator: Simulator::new(machine),
-            run_config,
-        })
-    }
-
-    /// The one projection from a simulator result to this measurement's
-    /// metric vector, shared by the single and batched paths.
-    fn project(result: RunResult) -> (Vec<f64>, Option<RunResult>) {
-        (
-            vec![result.temperature_c, result.avg_power_w, result.ipc],
-            Some(result),
-        )
+        SimMeasurement::on(machine, run_config)
     }
 }
 
-impl Measurement for TemperatureMeasurement {
-    fn name(&self) -> &'static str {
-        "temperature"
-    }
+/// Instructions per cycle (the `perf` stand-in; paper §V, IPC virus):
+/// `[ipc, avg_power_w, temperature_c]`.
+#[derive(Debug, Clone, Copy)]
+pub struct Ipc;
 
-    fn content_pure(&self) -> bool {
-        true
-    }
-
-    fn metrics(&self) -> &'static [&'static str] {
-        &["temperature_c", "avg_power_w", "ipc"]
-    }
-
-    fn measure(&self, program: &Program) -> Result<Vec<f64>, GestError> {
-        Ok(self.measure_detailed(program)?.0)
-    }
-
-    fn measure_detailed(
-        &self,
-        program: &Program,
-    ) -> Result<(Vec<f64>, Option<RunResult>), GestError> {
-        Ok(Self::project(self.0.run(program)?))
-    }
-
-    fn measure_batch_detailed(&self, programs: &[Program]) -> MeasuredBatch {
-        self.0
-            .run_batch(programs)
-            .into_iter()
-            .map(|lane| lane.map(Self::project))
-            .collect()
+impl SimProjection for Ipc {
+    const NAME: &'static str = "ipc";
+    const METRICS: &'static [&'static str] = &["ipc", "avg_power_w", "temperature_c"];
+    fn project(result: &RunResult) -> Vec<f64> {
+        vec![result.ipc, result.avg_power_w, result.temperature_c]
     }
 }
 
 /// IPC measurement (the `perf` stand-in; paper §V, IPC virus).
 ///
 /// Metrics: `[ipc, avg_power_w, temperature_c]`.
-#[derive(Debug, Clone)]
-pub struct IpcMeasurement(SimBacked);
+pub type IpcMeasurement = SimMeasurement<Ipc>;
 
 impl IpcMeasurement {
     /// Creates the measurement for a machine.
     pub fn new(machine: MachineConfig, run_config: RunConfig) -> IpcMeasurement {
-        IpcMeasurement(SimBacked {
-            simulator: Simulator::new(machine),
-            run_config,
-        })
-    }
-
-    /// The one projection from a simulator result to this measurement's
-    /// metric vector, shared by the single and batched paths.
-    fn project(result: RunResult) -> (Vec<f64>, Option<RunResult>) {
-        (
-            vec![result.ipc, result.avg_power_w, result.temperature_c],
-            Some(result),
-        )
+        SimMeasurement::on(machine, run_config)
     }
 }
 
-impl Measurement for IpcMeasurement {
-    fn name(&self) -> &'static str {
-        "ipc"
-    }
+/// Voltage noise (the oscilloscope stand-in; paper §VI):
+/// `[peak_to_peak_v, max_droop_v, avg_power_w]`.
+#[derive(Debug, Clone, Copy)]
+pub struct VoltageNoise;
 
-    fn content_pure(&self) -> bool {
-        true
-    }
-
-    fn metrics(&self) -> &'static [&'static str] {
-        &["ipc", "avg_power_w", "temperature_c"]
-    }
-
-    fn measure(&self, program: &Program) -> Result<Vec<f64>, GestError> {
-        Ok(self.measure_detailed(program)?.0)
-    }
-
-    fn measure_detailed(
-        &self,
-        program: &Program,
-    ) -> Result<(Vec<f64>, Option<RunResult>), GestError> {
-        Ok(Self::project(self.0.run(program)?))
-    }
-
-    fn measure_batch_detailed(&self, programs: &[Program]) -> MeasuredBatch {
-        self.0
-            .run_batch(programs)
-            .into_iter()
-            .map(|lane| lane.map(Self::project))
-            .collect()
+impl SimProjection for VoltageNoise {
+    const NAME: &'static str = "voltage_noise";
+    const METRICS: &'static [&'static str] = &["peak_to_peak_v", "max_droop_v", "avg_power_w"];
+    fn project(result: &RunResult) -> Vec<f64> {
+        let stats = result.voltage.expect("constructor verified the PDN exists");
+        vec![stats.peak_to_peak(), stats.max_droop(), result.avg_power_w]
     }
 }
 
 /// Voltage-noise measurement (the oscilloscope stand-in; paper §VI).
 ///
 /// Metrics: `[peak_to_peak_v, max_droop_v, avg_power_w]`.
-#[derive(Debug, Clone)]
-pub struct VoltageNoiseMeasurement(SimBacked);
+pub type VoltageNoiseMeasurement = SimMeasurement<VoltageNoise>;
 
 impl VoltageNoiseMeasurement {
     /// Creates the measurement for a machine.
@@ -380,53 +325,27 @@ impl VoltageNoiseMeasurement {
                 machine.name
             )));
         }
-        Ok(VoltageNoiseMeasurement(SimBacked {
-            simulator: Simulator::new(machine),
-            run_config,
-        }))
-    }
-
-    /// The one projection from a simulator result to this measurement's
-    /// metric vector, shared by the single and batched paths.
-    fn project(result: RunResult) -> (Vec<f64>, Option<RunResult>) {
-        let stats = result.voltage.expect("constructor verified the PDN exists");
-        (
-            vec![stats.peak_to_peak(), stats.max_droop(), result.avg_power_w],
-            Some(result),
-        )
+        Ok(SimMeasurement::on(machine, run_config))
     }
 }
 
-impl Measurement for VoltageNoiseMeasurement {
-    fn name(&self) -> &'static str {
-        "voltage_noise"
-    }
+/// L1 misses (paper §VII's LLC/DRAM extension):
+/// `[l1_misses_per_kinstr, l1_miss_rate, avg_power_w]`.
+#[derive(Debug, Clone, Copy)]
+pub struct CacheMiss;
 
-    fn content_pure(&self) -> bool {
-        true
-    }
-
-    fn metrics(&self) -> &'static [&'static str] {
-        &["peak_to_peak_v", "max_droop_v", "avg_power_w"]
-    }
-
-    fn measure(&self, program: &Program) -> Result<Vec<f64>, GestError> {
-        Ok(self.measure_detailed(program)?.0)
-    }
-
-    fn measure_detailed(
-        &self,
-        program: &Program,
-    ) -> Result<(Vec<f64>, Option<RunResult>), GestError> {
-        Ok(Self::project(self.0.run(program)?))
-    }
-
-    fn measure_batch_detailed(&self, programs: &[Program]) -> MeasuredBatch {
-        self.0
-            .run_batch(programs)
-            .into_iter()
-            .map(|lane| lane.map(Self::project))
-            .collect()
+impl SimProjection for CacheMiss {
+    const NAME: &'static str = "cache_miss";
+    const METRICS: &'static [&'static str] =
+        &["l1_misses_per_kinstr", "l1_miss_rate", "avg_power_w"];
+    fn project(result: &RunResult) -> Vec<f64> {
+        let misses_per_kinstr =
+            1000.0 * result.l1.misses as f64 / result.instructions.max(1) as f64;
+        vec![
+            misses_per_kinstr,
+            1.0 - result.l1.hit_rate(),
+            result.avg_power_w,
+        ]
     }
 }
 
@@ -438,64 +357,12 @@ impl Measurement for VoltageNoiseMeasurement {
 /// Metrics: `[l1_misses_per_kinstr, l1_miss_rate, avg_power_w]`. Pair it
 /// with a machine whose scratch buffer exceeds L1 (see
 /// [`crate::pools::llc_pool`]).
-#[derive(Debug, Clone)]
-pub struct CacheMissMeasurement(SimBacked);
+pub type CacheMissMeasurement = SimMeasurement<CacheMiss>;
 
 impl CacheMissMeasurement {
     /// Creates the measurement for a machine.
     pub fn new(machine: MachineConfig, run_config: RunConfig) -> CacheMissMeasurement {
-        CacheMissMeasurement(SimBacked {
-            simulator: Simulator::new(machine),
-            run_config,
-        })
-    }
-
-    /// The one projection from a simulator result to this measurement's
-    /// metric vector, shared by the single and batched paths.
-    fn project(result: RunResult) -> (Vec<f64>, Option<RunResult>) {
-        let misses_per_kinstr =
-            1000.0 * result.l1.misses as f64 / result.instructions.max(1) as f64;
-        (
-            vec![
-                misses_per_kinstr,
-                1.0 - result.l1.hit_rate(),
-                result.avg_power_w,
-            ],
-            Some(result),
-        )
-    }
-}
-
-impl Measurement for CacheMissMeasurement {
-    fn name(&self) -> &'static str {
-        "cache_miss"
-    }
-
-    fn content_pure(&self) -> bool {
-        true
-    }
-
-    fn metrics(&self) -> &'static [&'static str] {
-        &["l1_misses_per_kinstr", "l1_miss_rate", "avg_power_w"]
-    }
-
-    fn measure(&self, program: &Program) -> Result<Vec<f64>, GestError> {
-        Ok(self.measure_detailed(program)?.0)
-    }
-
-    fn measure_detailed(
-        &self,
-        program: &Program,
-    ) -> Result<(Vec<f64>, Option<RunResult>), GestError> {
-        Ok(Self::project(self.0.run(program)?))
-    }
-
-    fn measure_batch_detailed(&self, programs: &[Program]) -> MeasuredBatch {
-        self.0
-            .run_batch(programs)
-            .into_iter()
-            .map(|lane| lane.map(Self::project))
-            .collect()
+        SimMeasurement::on(machine, run_config)
     }
 }
 
@@ -562,22 +429,21 @@ impl Measurement for NoisyMeasurement {
         Ok(self.measure_detailed(program)?.0)
     }
 
-    /// Forwards to the wrapped measurement, perturbing only the metric
-    /// values — the simulator detail stays exact, mirroring an instrument
-    /// that is noisy while the silicon underneath is not.
     fn measure_detailed(
         &self,
         program: &Program,
     ) -> Result<(Vec<f64>, Option<RunResult>), GestError> {
-        let (mut values, detail) = self.inner.measure_detailed(program)?;
-        self.perturb(&program.name, &mut values);
-        Ok((values, detail))
+        self.measure_batch_detailed(std::slice::from_ref(program))
+            .pop()
+            .expect("one lane per program")
     }
 
     /// Forwards the whole batch to the wrapped measurement (keeping its
-    /// batched fast path) and perturbs each lane afterwards. Noise is a
-    /// pure function of `(seed, program name, metric index)`, so the
-    /// batched values equal the looped single-program values exactly.
+    /// batched fast path) and perturbs only each lane's metric values —
+    /// the simulator detail stays exact, mirroring an instrument that is
+    /// noisy while the silicon underneath is not. Noise is a pure function
+    /// of `(seed, program name, metric index)`, so a lane's values do not
+    /// depend on its batch.
     fn measure_batch_detailed(&self, programs: &[Program]) -> MeasuredBatch {
         self.inner
             .measure_batch_detailed(programs)
@@ -591,44 +457,6 @@ impl Measurement for NoisyMeasurement {
             })
             .collect()
     }
-}
-
-/// Instantiates a shipped measurement by its configuration name —
-/// the substrate equivalent of the paper's dynamic Python class loading.
-///
-/// Known names: `power`, `temperature`, `ipc`, `voltage_noise`,
-/// `cache_miss`.
-///
-/// # Errors
-///
-/// [`GestError::Config`] for unknown names or invalid machine/measurement
-/// combinations.
-///
-/// # Examples
-///
-/// ```
-/// # #![allow(deprecated)]
-/// # fn main() -> Result<(), gest_core::GestError> {
-/// use gest_sim::{MachineConfig, RunConfig};
-/// let m = gest_core::measurement_by_name(
-///     "power",
-///     MachineConfig::cortex_a15(),
-///     RunConfig::default(),
-/// )?;
-/// assert_eq!(m.name(), "power");
-/// # Ok(())
-/// # }
-/// ```
-#[deprecated(
-    since = "0.2.0",
-    note = "use Registry::default().build_measurement(name, machine, run_config)"
-)]
-pub fn measurement_by_name(
-    name: &str,
-    machine: MachineConfig,
-    run_config: RunConfig,
-) -> Result<Arc<dyn Measurement>, GestError> {
-    crate::Registry::default().build_measurement(name, machine, run_config)
 }
 
 #[cfg(test)]
@@ -837,27 +665,5 @@ mod tests {
         for lane in flat {
             assert_eq!(lane.unwrap().0, vec![1.0]);
         }
-    }
-
-    #[test]
-    #[allow(deprecated)] // deliberately exercises the legacy shim
-    fn registry_resolves_all_names() {
-        for name in ["power", "temperature", "ipc", "cache_miss"] {
-            let m = measurement_by_name(name, MachineConfig::xgene2(), RunConfig::quick()).unwrap();
-            assert_eq!(m.name(), name);
-        }
-        let m = measurement_by_name(
-            "voltage_noise",
-            MachineConfig::athlon_x4(),
-            RunConfig::quick(),
-        )
-        .unwrap();
-        assert_eq!(m.name(), "voltage_noise");
-        assert!(measurement_by_name(
-            "oscilloscope",
-            MachineConfig::athlon_x4(),
-            RunConfig::quick()
-        )
-        .is_err());
     }
 }

@@ -1,5 +1,4 @@
-//! Typed plug-in registry — the replacement for the stringly
-//! `measurement_by_name` / `fitness_by_name` dispatch.
+//! Typed plug-in registry: configuration names to plug-in constructors.
 //!
 //! The paper loads measurement and fitness classes dynamically by name
 //! from the configuration file. This module keeps the by-name indirection
@@ -235,7 +234,7 @@ mod tests {
             max_c: 105.0,
         };
         for name in ["default", "temp_simplicity", "primary_minus_secondary"] {
-            registry.build_fitness(name, params).unwrap();
+            assert_eq!(registry.build_fitness(name, params).unwrap().name(), name);
         }
     }
 

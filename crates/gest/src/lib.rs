@@ -78,8 +78,6 @@ pub use gest_xml as xml;
 
 /// Convenience prelude bringing the most-used types into scope.
 pub mod prelude {
-    #[allow(deprecated)]
-    pub use gest_core::{fitness_by_name, measurement_by_name};
     pub use gest_core::{
         Checkpoint, DefaultFitness, FaultPolicy, Fitness, FitnessContext, FitnessParams,
         GestConfig, GestError, GestRun, GestRunBuilder, Measurement, Registry, RunSummary,

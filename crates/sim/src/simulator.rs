@@ -149,38 +149,12 @@ struct LaneScratch {
     fps: VecDeque<u64>,
     prev_snap: SteadySnapshot,
     cur_snap: SteadySnapshot,
-    /// Architectural state recycled by the batch path (a reset + refill is
-    /// far cheaper than reallocating the memory buffer). The single-run
-    /// path deliberately ignores the pool and constructs fresh state.
+    /// Architectural state recycled across runs through this lane (a
+    /// reset + refill is far cheaper than reallocating the memory buffer).
     pooled_state: Option<ArchState>,
-    /// Data cache recycled by the batch path (its per-set allocations
-    /// dominate cold-run setup cost).
+    /// Data cache recycled across runs through this lane (its per-set
+    /// allocations dominate cold-run setup cost).
     pooled_cache: Option<DataCache>,
-}
-
-/// Reusable per-worker simulation buffers plus fast-path statistics.
-///
-/// A fresh scratch is allocated internally by [`Simulator::run`]; callers
-/// evaluating many programs (GA workers, benchmarks) should keep one per
-/// thread and use [`Simulator::run_with_scratch`] so decode buffers, the
-/// per-cycle energy waveform, and the steady-state detector's snapshots
-/// are reused across runs instead of reallocated.
-#[derive(Debug, Default)]
-pub struct SimScratch {
-    lane: LaneScratch,
-    /// Runs performed through this scratch.
-    pub runs: u64,
-    /// Runs in which the steady-state detector fired.
-    pub steady_hits: u64,
-    /// Loop iterations synthesized analytically instead of executed.
-    pub extrapolated_iterations: u64,
-}
-
-impl SimScratch {
-    /// Creates an empty scratch.
-    pub fn new() -> SimScratch {
-        SimScratch::default()
-    }
 }
 
 /// Reusable buffers for [`Simulator::run_batch_with_scratch`]: one
@@ -260,7 +234,8 @@ impl Simulator {
         &self.machine
     }
 
-    /// Executes `program` under `config` and returns the measurements.
+    /// Executes `program` under `config` and returns the measurements — a
+    /// batch of one through a fresh scratch.
     ///
     /// The loop body runs repeatedly (the paper's viruses are infinite
     /// loops; the measurement scripts run them "for a few seconds") until
@@ -271,26 +246,9 @@ impl Simulator {
     /// * [`SimError::EmptyProgram`] when the body has no instructions,
     /// * [`SimError::Exec`] if functional execution fails.
     pub fn run(&self, program: &Program, config: &RunConfig) -> Result<RunResult, SimError> {
-        self.run_inner(program, config, false, &mut SimScratch::new())
-            .map(|(result, _)| result)
-    }
-
-    /// Like [`run`](Simulator::run), reusing the caller's scratch buffers
-    /// across calls — the fast path for workers that evaluate many
-    /// programs. The scratch also accumulates fast-path statistics
-    /// ([`SimScratch::steady_hits`] and friends).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run`](Simulator::run).
-    pub fn run_with_scratch(
-        &self,
-        program: &Program,
-        config: &RunConfig,
-        scratch: &mut SimScratch,
-    ) -> Result<RunResult, SimError> {
-        self.run_inner(program, config, false, scratch)
-            .map(|(result, _)| result)
+        self.run_batch(std::slice::from_ref(program), config)
+            .pop()
+            .expect("one lane per program")
     }
 
     /// Like [`run`](Simulator::run), additionally capturing the per-cycle
@@ -321,48 +279,9 @@ impl Simulator {
         program: &Program,
         config: &RunConfig,
     ) -> Result<(RunResult, Traces), SimError> {
-        self.run_inner(program, config, true, &mut SimScratch::new())
-            .map(|(result, traces)| (result, traces.expect("traces requested")))
-    }
-
-    fn run_inner(
-        &self,
-        program: &Program,
-        config: &RunConfig,
-        want_traces: bool,
-        scratch: &mut SimScratch,
-    ) -> Result<(RunResult, Option<Traces>), SimError> {
-        self.validate(program)?;
-        scratch.runs += 1;
-
-        // The single path deliberately keeps today's per-run behavior:
-        // fresh instruments, full lazy hash maintenance, a per-run thermal
-        // schedule. Only the batch path shares derived values across runs.
-        let mut state = ArchState::new(self.machine.mem_bytes);
-        program.apply_init(&mut state)?;
-        let cache = DataCache::new(self.machine.l1d);
-        let energy_model = EnergyModel::new(&self.machine);
-
-        let mut lane = LaneRun::new(
-            &self.machine,
-            program,
-            config,
-            &energy_model,
-            &mut scratch.lane,
-            state,
-            cache,
-        );
-        while !lane.halted {
-            lane.step_iteration();
-        }
-        if let Some(error) = lane.error.take() {
-            return Err(error);
-        }
-        let schedule = ThermalSchedule::new(self.machine.thermal, config.thermal_hold_s);
-        let (result, traces, tally) = lane.finalize(want_traces, &schedule);
-        scratch.steady_hits += tally.steady_hit as u64;
-        scratch.extrapolated_iterations += tally.extrapolated;
-        Ok((result, traces))
+        self.run_batch_traced(std::slice::from_ref(program), config)
+            .pop()
+            .expect("one lane per program")
     }
 
     /// Evaluates a batch of programs in lockstep and returns one result
@@ -373,9 +292,9 @@ impl Simulator {
     /// schedule); every mutable structure — register files, memory image,
     /// pipeline, cache, predictor, PDN integrator, toggle/energy
     /// accounting — is per-lane, and each lane executes its iterations in
-    /// exactly the single-run order. Per-lane results are therefore
-    /// byte-identical to [`run`](Simulator::run) (asserted by the sim
-    /// property tests). Lanes retire independently when their iteration
+    /// exactly the order it would alone. Per-lane results are therefore
+    /// byte-identical to a batch of one, i.e. [`run`](Simulator::run)
+    /// (asserted by the sim property tests). Lanes retire independently when their iteration
     /// budgets, cycle budgets, or steady-state triggers diverge; an
     /// erroring lane yields its own `Err` without disturbing neighbours.
     pub fn run_batch(
@@ -556,8 +475,7 @@ struct LaneTally {
 }
 
 /// One candidate's complete in-flight execution state — the "lane" of the
-/// structure-of-arrays core. The single-run path drives exactly one of
-/// these to completion; the batch path drives N of them in lockstep, one
+/// structure-of-arrays core. A batch drives N of them in lockstep, one
 /// [`step_iteration`](LaneRun::step_iteration) per lane per sweep.
 struct LaneRun<'a> {
     machine: &'a MachineConfig,
@@ -667,9 +585,9 @@ impl<'a> LaneRun<'a> {
 
     /// Executes one loop-body iteration plus its boundary bookkeeping,
     /// retiring the lane when an iteration/cycle budget, the steady-state
-    /// detector, or an execution error ends the run. One call corresponds
-    /// to one pass of the classic single-run `while` loop, so interleaving
-    /// calls across lanes cannot reorder anything within a lane.
+    /// detector, or an execution error ends the run. One call is one pass
+    /// of a lane's iteration loop, so interleaving calls across lanes
+    /// cannot reorder anything within a lane.
     fn step_iteration(&mut self) {
         if self.halted || self.iterations >= self.config.max_iterations {
             self.halted = true;
@@ -1060,6 +978,20 @@ mod tests {
     use super::*;
     use gest_isa::{asm, Program, Template};
 
+    /// One program through the caller's scratch: a batch of one.
+    fn run_reusing(
+        simulator: &Simulator,
+        program: &Program,
+        config: &RunConfig,
+        scratch: &mut BatchScratch,
+    ) -> RunResult {
+        simulator
+            .run_batch_with_scratch(std::slice::from_ref(program), config, scratch)
+            .pop()
+            .unwrap()
+            .unwrap()
+    }
+
     fn run_on(machine: MachineConfig, body: &str) -> RunResult {
         let template = Template::default_stress();
         let program = template.materialize("test", asm::parse_block(body).unwrap());
@@ -1266,7 +1198,7 @@ mod tests {
             "ADD x1, x2, x3\nCBNZ x0, #1\nADD x4, x5, x6\nB #1\nADD x7, x2, x5",
             "LDR x11, [x10, #0]\nADDI x10, x10, #64",
         ];
-        let mut scratch = SimScratch::new();
+        let mut scratch = BatchScratch::new();
         for machine in MachineConfig::all_presets() {
             for body in bodies {
                 let program = Template::default_stress()
@@ -1277,9 +1209,7 @@ mod tests {
                     steady_detect: false,
                     ..RunConfig::default()
                 };
-                let fast = simulator
-                    .run_with_scratch(&program, &fast_config, &mut scratch)
-                    .unwrap();
+                let fast = run_reusing(&simulator, &program, &fast_config, &mut scratch);
                 let full = simulator.run(&program, &full_config).unwrap();
                 assert_eq!(fast, full, "{} / {body:?}", machine.name);
                 let (fast_traced, fast_traces) =
@@ -1304,10 +1234,8 @@ mod tests {
             asm::parse_block("FMUL v0, v1, v2\nADD x1, x2, x3").unwrap(),
         );
         let simulator = Simulator::new(MachineConfig::cortex_a15());
-        let mut scratch = SimScratch::new();
-        let result = simulator
-            .run_with_scratch(&program, &RunConfig::default(), &mut scratch)
-            .unwrap();
+        let mut scratch = BatchScratch::new();
+        let result = run_reusing(&simulator, &program, &RunConfig::default(), &mut scratch);
         assert_eq!(scratch.runs, 1);
         assert_eq!(
             scratch.steady_hits, 1,
@@ -1321,17 +1249,16 @@ mod tests {
         );
 
         // Disabling detection runs everything the slow way.
-        let mut off_scratch = SimScratch::new();
-        let off = simulator
-            .run_with_scratch(
-                &program,
-                &RunConfig {
-                    steady_detect: false,
-                    ..RunConfig::default()
-                },
-                &mut off_scratch,
-            )
-            .unwrap();
+        let mut off_scratch = BatchScratch::new();
+        let off = run_reusing(
+            &simulator,
+            &program,
+            &RunConfig {
+                steady_detect: false,
+                ..RunConfig::default()
+            },
+            &mut off_scratch,
+        );
         assert_eq!(off_scratch.steady_hits, 0);
         assert_eq!(off_scratch.extrapolated_iterations, 0);
         assert_eq!(result, off);
@@ -1340,14 +1267,12 @@ mod tests {
     #[test]
     fn scratch_reuse_across_programs_stays_clean() {
         let simulator = Simulator::new(MachineConfig::xgene2());
-        let mut scratch = SimScratch::new();
+        let mut scratch = BatchScratch::new();
         let bodies = ["ADD x1, x2, x3", "FMUL v0, v1, v2\nLDR x1, [x10, #8]"];
         for body in bodies {
             let program =
                 Template::default_stress().materialize("r", asm::parse_block(body).unwrap());
-            let reused = simulator
-                .run_with_scratch(&program, &RunConfig::quick(), &mut scratch)
-                .unwrap();
+            let reused = run_reusing(&simulator, &program, &RunConfig::quick(), &mut scratch);
             let fresh = simulator.run(&program, &RunConfig::quick()).unwrap();
             assert_eq!(reused, fresh, "{body:?}");
         }

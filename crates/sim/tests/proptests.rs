@@ -150,8 +150,11 @@ proptest! {
             let mut single_steady = 0u64;
             let mut single_extrapolated = 0u64;
             for (program, lane) in programs.iter().zip(&batched) {
-                let mut single_scratch = gest_sim::SimScratch::new();
-                let single = simulator.run_with_scratch(program, &config, &mut single_scratch);
+                let mut single_scratch = BatchScratch::new();
+                let single = simulator
+                    .run_batch_with_scratch(std::slice::from_ref(program), &config, &mut single_scratch)
+                    .pop()
+                    .unwrap();
                 prop_assert_eq!(lane, &single, "{}", program.name);
                 single_runs += single_scratch.runs;
                 single_steady += single_scratch.steady_hits;
