@@ -63,19 +63,43 @@ pub fn genome_distance(a: &[u8], b: &[u8]) -> f64 {
     if longest == 0 {
         return 0.0;
     }
-    let differing = a
-        .iter()
-        .zip(b.iter())
-        .filter(|(byte_a, byte_b)| byte_a != byte_b)
-        .count()
-        + a.len().abs_diff(b.len());
+    let differing = differing_bytes(a, b) + a.len().abs_diff(b.len());
     differing as f64 / longest as f64
 }
 
+/// Positions where `a` and `b` differ over their common prefix, compared
+/// eight bytes at a time: a byte of `x = a ^ b` is non-zero exactly when
+/// adding `0x7f` to its low seven bits, or its own high bit, sets bit 7.
+/// The per-byte sums stay below `0x100`, so no carry crosses a byte.
+fn differing_bytes(a: &[u8], b: &[u8]) -> usize {
+    const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    let common = a.len().min(b.len());
+    let (a, b) = (&a[..common], &b[..common]);
+    let words_a = a.chunks_exact(8);
+    let words_b = b.chunks_exact(8);
+    let tail = words_a
+        .remainder()
+        .iter()
+        .zip(words_b.remainder())
+        .filter(|(byte_a, byte_b)| byte_a != byte_b)
+        .count();
+    let word = |bytes: &[u8]| u64::from_le_bytes(bytes.try_into().expect("8-byte chunk"));
+    words_a
+        .zip(words_b)
+        .map(|(word_a, word_b)| {
+            let x = word(word_a) ^ word(word_b);
+            ((((x & LOW7) + LOW7) | x) & HIGH).count_ones() as usize
+        })
+        .sum::<usize>()
+        + tail
+}
+
 /// Mean pairwise [`genome_distance`] across the population. `0.0` for
-/// fewer than two individuals. Populations are small (tens), so the
-/// O(P²) pair loop over pre-encoded genomes is cheap relative to one
-/// candidate measurement.
+/// fewer than two individuals. The pair loop is O(P²) over pre-encoded
+/// genomes — about as long as a whole generation of cache hits at the
+/// paper's population of 50 — so the runner computes it only for traced
+/// runs, where the `health` point reads it.
 pub fn population_diversity(population: &Population<Gene>) -> f64 {
     let encoded: Vec<Vec<u8>> = population
         .individuals
@@ -127,6 +151,7 @@ mod tests {
     use super::*;
     use gest_ga::Evaluated;
     use gest_isa::{Instruction, Opcode, Operand, Reg};
+    use proptest::prelude::*;
 
     fn gene(def_index: usize, rd: u8) -> Gene {
         let reg = |i: u8| Operand::Reg(Reg::new(i).unwrap());
@@ -153,6 +178,73 @@ mod tests {
         assert_eq!(genome_distance(&[1, 2], &[3, 4]), 1.0);
         // Common prefix, one extra byte: 1 differing position out of 3.
         assert!((genome_distance(&[1, 2, 3], &[1, 2]) - 1.0 / 3.0).abs() < 1e-12);
+    }
+
+    /// The byte-at-a-time distance the word-wise one must reproduce.
+    fn scalar_distance(a: &[u8], b: &[u8]) -> f64 {
+        let longest = a.len().max(b.len());
+        if longest == 0 {
+            return 0.0;
+        }
+        let differing = a
+            .iter()
+            .zip(b.iter())
+            .filter(|(byte_a, byte_b)| byte_a != byte_b)
+            .count()
+            + a.len().abs_diff(b.len());
+        differing as f64 / longest as f64
+    }
+
+    #[test]
+    fn word_distance_counts_every_byte_value() {
+        // Each lane differing by every possible XOR value, including the
+        // high-bit-only and low-bit-only patterns the trick relies on.
+        for delta in 0..=255u8 {
+            let a = [0x5au8; 19];
+            let b: Vec<u8> = a.iter().map(|byte| byte ^ delta).collect();
+            assert_eq!(
+                genome_distance(&a, &b).to_bits(),
+                scalar_distance(&a, &b).to_bits(),
+                "delta {delta:#04x}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn word_distance_matches_the_scalar_oracle(
+            a in prop::collection::vec(any::<u8>(), 0..40usize),
+            b in prop::collection::vec(any::<u8>(), 0..40usize),
+            short in prop::collection::vec(any::<u8>(), 0..8usize),
+            edits in prop::collection::vec((any::<bool>(), any::<u8>()), 40usize),
+        ) {
+            let same = |x: &[u8], y: &[u8]| {
+                prop_assert_eq!(
+                    genome_distance(x, y).to_bits(),
+                    scalar_distance(x, y).to_bits(),
+                    "{:?} vs {:?}",
+                    x,
+                    y
+                );
+            };
+            // Unrelated bytes, mostly of unequal lengths.
+            same(&a, &b);
+            // Equal lengths with sparse edits, the common case for two
+            // genomes of one population.
+            let near: Vec<u8> = a
+                .iter()
+                .zip(&edits)
+                .map(|(&byte, &(edit, value))| if edit { value } else { byte })
+                .collect();
+            same(&a, &near);
+            // Shorter than one word, and empty.
+            same(&short, &a);
+            same(&short, &near);
+            same(&short, &[]);
+            same(&[], &[]);
+        }
     }
 
     #[test]

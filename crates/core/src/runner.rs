@@ -21,6 +21,7 @@ use gest_ga::{Candidate, Evaluated, ExplorationSampler, GaEngine, History, Popul
 use gest_isa::features::{featurize, FeatureVec};
 use gest_isa::{Gene, Program};
 use gest_telemetry::{Buckets, FieldValue, SpanGuard, Telemetry};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -29,19 +30,59 @@ use std::time::Instant;
 
 /// Latency buckets for `eval.latency_us`: 100µs up to 100s, one decade
 /// per bucket.
-fn latency_buckets() -> Buckets {
-    Buckets::exponential(100.0, 10.0, 7)
+fn latency_buckets() -> &'static Buckets {
+    static BUCKETS: OnceLock<Buckets> = OnceLock::new();
+    BUCKETS.get_or_init(|| Buckets::exponential(100.0, 10.0, 7))
 }
 
 /// Wide-range buckets for `sim.*` value histograms; summary statistics
 /// (min/mean/max) stay exact regardless of bucket resolution.
-fn sim_buckets() -> Buckets {
-    Buckets::exponential(1e-6, 10.0, 16)
+fn sim_buckets() -> &'static Buckets {
+    static BUCKETS: OnceLock<Buckets> = OnceLock::new();
+    BUCKETS.get_or_init(|| Buckets::exponential(1e-6, 10.0, 16))
 }
+
+/// `sim.{stat}` metric name for a [`gest_sim::RunResult::metric_kv`] stat:
+/// a static table, so traced runs do not format a name per stat per
+/// candidate. A stat missing from the table still gets its name, just
+/// formatted.
+fn sim_metric_name(stat: &str) -> Cow<'static, str> {
+    Cow::Borrowed(match stat {
+        "cycles" => "sim.cycles",
+        "instructions" => "sim.instructions",
+        "ipc" => "sim.ipc",
+        "energy_j" => "sim.energy_j",
+        "avg_power_w" => "sim.avg_power_w",
+        "chip_power_w" => "sim.chip_power_w",
+        "peak_power_w" => "sim.peak_power_w",
+        "temperature_c" => "sim.temperature_c",
+        "steady_temp_c" => "sim.steady_temp_c",
+        "l1_hits" => "sim.l1_hits",
+        "l1_misses" => "sim.l1_misses",
+        "l1_hit_rate" => "sim.l1_hit_rate",
+        "branch_accuracy" => "sim.branch_accuracy",
+        "voltage_p2p_v" => "sim.voltage_p2p_v",
+        "voltage_droop_v" => "sim.voltage_droop_v",
+        "voltage_min_v" => "sim.voltage_min_v",
+        other => return Cow::Owned(format!("sim.{other}")),
+    })
+}
+
+/// Records a simulator run's stats into the `sim.*` histograms.
+fn record_sim_stats(telemetry: &Telemetry, kv: &[(&'static str, f64)]) {
+    for &(stat, value) in kv {
+        telemetry.record(&sim_metric_name(stat), sim_buckets(), value);
+    }
+}
+
+/// What a candidate's evaluation contributes to its [`Evaluated`]:
+/// `(fitness, measurements)`. Identity and genes move over from the
+/// candidate when the population is assembled.
+type Score = (f64, Vec<f64>);
 
 /// Write-once result slot: each candidate index is claimed by exactly one
 /// evaluation slot through the dispatch cursor.
-type EvalSlot = OnceLock<Result<Evaluated<Gene>, GestError>>;
+type EvalSlot = OnceLock<Result<Score, GestError>>;
 
 /// What one [`GestRun::step`] call did — the contract that lets an
 /// external scheduler (e.g. `gest-serve`) multiplex many runs over one
@@ -806,7 +847,9 @@ impl GestRun {
                 self.best = Some(best.clone());
             }
         }
-        let report = health::report(self.generation, &population, &self.history);
+        let plateaued = self
+            .history
+            .plateaued(health::HEALTH_WINDOW, health::HEALTH_EPSILON);
         if self.telemetry.is_enabled() {
             if let Some(best) = population.best() {
                 self.telemetry.point(
@@ -825,6 +868,9 @@ impl GestRun {
                     ],
                 );
             }
+            // Diversity is an O(P²) pass over the encoded genomes and
+            // only the health point reads it, so it runs only when traced.
+            let report = health::report(self.generation, &population, &self.history);
             self.emit_health(&population, &report);
         }
         if let Some(writer) = &self.writer {
@@ -845,7 +891,7 @@ impl GestRun {
         drop(generation_span);
         Ok(if self.is_complete() {
             StepOutcome::Budget
-        } else if report.plateaued {
+        } else if plateaued {
             StepOutcome::Converged
         } else {
             StepOutcome::Progressed
@@ -1092,18 +1138,31 @@ impl GestRun {
     /// in a second wave, after the leader's result has reached the cache,
     /// and are served from it. Results are bit-identical either way
     /// (content-purity), so dedup only saves work, never changes it.
+    ///
+    /// Each candidate's gene content is hashed once here (when the cache
+    /// is on) and the hashes are shared by dedup, screening and the cache
+    /// probes. Evaluation fills only `(fitness, measurements)` slots; the
+    /// candidates' ids, parents and genes move into the population at the
+    /// end, so no genome is copied.
     fn evaluate(
         &self,
         generation: u32,
         candidates: Vec<Candidate<Gene>>,
         parent_span: Option<u64>,
     ) -> Result<Population<Gene>, GestError> {
-        let (mut leaders, mut followers, leader_of) = self.split_duplicates(&candidates);
+        let hashes: Option<Vec<u128>> = self.eval_cache.as_ref().map(|_| {
+            candidates
+                .iter()
+                .map(|candidate| genes_hash(&candidate.genes))
+                .collect()
+        });
+        let hashes = hashes.as_deref();
+        let (mut leaders, mut followers, leader_of) = split_duplicates(candidates.len(), hashes);
         // Surrogate screening happens here — coordinator-side, before any
         // wave is dispatched — so remote backends only ever receive the
         // candidates that survived, and the screening decision sequence is
         // a pure function of the checkpointed search state.
-        let plan = self.surrogate_plan(generation, &candidates, &leaders, &leader_of);
+        let plan = self.surrogate_plan(generation, &candidates, hashes, &leaders, &leader_of);
         if let Some(plan) = &plan {
             if !plan.skipped_set.is_empty() {
                 leaders.retain(|index| !plan.skipped_set.contains(index));
@@ -1121,82 +1180,53 @@ impl GestRun {
                 ("deduped", followers.len().into()),
             ],
         );
-        let eval_id = eval_span.id();
 
         let results: Vec<EvalSlot> = candidates.iter().map(|_| OnceLock::new()).collect();
         if let Some(plan) = &plan {
+            // Screened candidates were never measured; NaN marks the
+            // metrics as absent (the same convention as quarantine)
+            // without inventing values.
             for &(index, fitness) in &plan.skipped {
-                let candidate = &candidates[index];
-                let prefilled = results[index].set(Ok(Evaluated {
-                    id: candidate.id,
-                    parents: candidate.parents,
-                    genes: candidate.genes.clone(),
-                    fitness,
-                    // Screened candidates were never measured; NaN marks
-                    // the metrics as absent (the same convention as
-                    // quarantine) without inventing values.
-                    measurements: vec![f64::NAN; self.measurement.metrics().len()],
-                }));
-                if prefilled.is_err() {
+                let unmeasured = vec![f64::NAN; self.measurement.metrics().len()];
+                if results[index].set(Ok((fitness, unmeasured))).is_err() {
                     unreachable!("screened slots are filled before any wave runs");
                 }
             }
         }
-        self.evaluate_wave(generation, &candidates, &leaders, &results, eval_id);
+        let ctx = EvalContext {
+            generation,
+            candidates: &candidates,
+            hashes,
+            results: &results,
+            span: eval_span.id(),
+        };
+        self.evaluate_wave(&ctx, &leaders);
         if !followers.is_empty() {
             self.telemetry
                 .add_counter("eval.dedup_deferred", followers.len() as u64);
-            self.evaluate_wave(generation, &candidates, &followers, &results, eval_id);
+            self.evaluate_wave(&ctx, &followers);
         }
 
         drop(eval_span);
         let mut individuals = Vec::with_capacity(candidates.len());
-        for slot in results {
-            match slot.into_inner().expect("every candidate was evaluated") {
-                Ok(evaluated) => individuals.push(evaluated),
-                Err(e) => return Err(e),
-            }
+        for (candidate, slot) in candidates.into_iter().zip(results) {
+            let (fitness, measurements) =
+                slot.into_inner().expect("every candidate was evaluated")?;
+            individuals.push(Evaluated {
+                id: candidate.id,
+                parents: candidate.parents,
+                genes: candidate.genes,
+                fitness,
+                measurements,
+            });
         }
         if let Some(plan) = plan {
-            self.surrogate_update(generation, &candidates, &individuals, plan);
+            self.surrogate_update(generation, &individuals, plan);
         }
         Ok(Population {
             generation,
             individuals,
         })
-    }
-
-    /// Splits candidate indices into dedup leaders (first occurrence of
-    /// each gene content) and followers (in-generation duplicates, served
-    /// from the cache after their leader's wave), plus a `leader_of`
-    /// mapping (`leader_of[i] == i` for leaders) that surrogate screening
-    /// uses to keep a follower's fate consistent with its leader's.
-    /// Without a cache there is nothing to serve followers from, so
-    /// everything leads.
-    fn split_duplicates(
-        &self,
-        candidates: &[Candidate<Gene>],
-    ) -> (Vec<usize>, Vec<usize>, Vec<usize>) {
-        let mut leader_of: Vec<usize> = (0..candidates.len()).collect();
-        if self.eval_cache.is_none() {
-            return ((0..candidates.len()).collect(), Vec::new(), leader_of);
-        }
-        let mut seen: HashMap<u128, usize> = HashMap::with_capacity(candidates.len());
-        let mut leaders = Vec::with_capacity(candidates.len());
-        let mut followers = Vec::new();
-        for (index, candidate) in candidates.iter().enumerate() {
-            match seen.entry(genes_hash(&candidate.genes)) {
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert(index);
-                    leaders.push(index);
-                }
-                std::collections::hash_map::Entry::Occupied(slot) => {
-                    leader_of[index] = *slot.get();
-                    followers.push(index);
-                }
-            }
-        }
-        (leaders, followers, leader_of)
     }
 
     /// Plans this generation's surrogate screening: featurizes and ranks
@@ -1214,6 +1244,7 @@ impl GestRun {
         &self,
         generation: u32,
         candidates: &[Candidate<Gene>],
+        hashes: Option<&[u128]>,
         leaders: &[usize],
         leader_of: &[usize],
     ) -> Option<ScreenPlan> {
@@ -1256,13 +1287,9 @@ impl GestRun {
         let pool: Vec<usize> = leaders
             .iter()
             .copied()
-            .filter(|&index| match self.eval_key(&candidates[index]) {
-                Some(key) => !self
-                    .eval_cache
-                    .as_ref()
-                    .expect("eval_key implies a cache")
-                    .peek(&key),
-                None => true,
+            .filter(|&index| match (&self.eval_cache, hashes) {
+                (Some(cache), Some(hashes)) => !cache.peek(&self.eval_key(hashes[index])),
+                _ => true,
             })
             .collect();
         if pool.len() <= runtime.topk + runtime.explore {
@@ -1312,13 +1339,7 @@ impl GestRun {
     /// measured finite-fitness candidate (cache hits included — a hit is
     /// a real measurement), refits the weights once, and emits the
     /// screening telemetry. Main thread, canonical index order.
-    fn surrogate_update(
-        &self,
-        generation: u32,
-        candidates: &[Candidate<Gene>],
-        individuals: &[Evaluated<Gene>],
-        plan: ScreenPlan,
-    ) {
+    fn surrogate_update(&self, generation: u32, individuals: &[Evaluated<Gene>], plan: ScreenPlan) {
         let Some(mut runtime) = self.surrogate_lock() else {
             return;
         };
@@ -1349,7 +1370,7 @@ impl GestRun {
         runtime.screened_total += plan.skipped.len() as u64;
         runtime.simulated_total += simulated;
         if self.telemetry.is_enabled() {
-            let screen_rate = plan.skipped.len() as f64 / candidates.len().max(1) as f64;
+            let screen_rate = plan.skipped.len() as f64 / individuals.len().max(1) as f64;
             let spearman = runtime.model.spearman();
             let mut fields: Vec<(&str, FieldValue)> = vec![
                 ("generation", u64::from(generation).into()),
@@ -1401,14 +1422,7 @@ impl GestRun {
     /// default width. Batching is wall-clock only: every lane's
     /// measurement is bit-identical to a batch of one and results land in
     /// the same write-once slots, so the search cannot observe the width.
-    fn evaluate_wave(
-        &self,
-        generation: u32,
-        candidates: &[Candidate<Gene>],
-        positions: &[usize],
-        results: &[EvalSlot],
-        eval_id: Option<u64>,
-    ) {
+    fn evaluate_wave(&self, ctx: &EvalContext<'_>, positions: &[usize]) {
         if positions.is_empty() {
             return;
         }
@@ -1418,13 +1432,19 @@ impl GestRun {
         let next_ref = &next;
         std::thread::scope(|scope| {
             for slot in 0..slots {
-                scope.spawn(move || loop {
-                    let cursor = next_ref.fetch_add(width, Ordering::Relaxed);
-                    if cursor >= positions.len() {
-                        break;
+                scope.spawn(move || {
+                    let worker = Worker {
+                        index: slot,
+                        counter: format!("eval.worker.{slot}.candidates"),
+                    };
+                    loop {
+                        let cursor = next_ref.fetch_add(width, Ordering::Relaxed);
+                        if cursor >= positions.len() {
+                            break;
+                        }
+                        let chunk = &positions[cursor..positions.len().min(cursor + width)];
+                        self.evaluate_chunk(ctx, chunk, &worker);
                     }
-                    let chunk = &positions[cursor..positions.len().min(cursor + width)];
-                    self.evaluate_chunk(generation, candidates, chunk, results, slot, eval_id);
                 });
             }
         });
@@ -1443,25 +1463,23 @@ impl GestRun {
     /// batch after the policy's backoff, each attempt counting against
     /// every failed lane's retry budget. A lane out of retries is
     /// quarantined or fails the run on its own.
-    fn evaluate_chunk(
-        &self,
-        generation: u32,
-        candidates: &[Candidate<Gene>],
-        chunk: &[usize],
-        results: &[EvalSlot],
-        worker: usize,
-        parent_span: Option<u64>,
-    ) {
+    fn evaluate_chunk(&self, ctx: &EvalContext<'_>, chunk: &[usize], worker: &Worker) {
+        let EvalContext {
+            generation,
+            candidates,
+            hashes,
+            results,
+            span: parent_span,
+        } = *ctx;
         let policy = self.config.fault_policy;
         let started = Instant::now();
-        let settle =
-            |index: usize, span: SpanGuard, outcome: Result<Evaluated<Gene>, GestError>| {
-                self.finish_candidate_metrics(started, worker, outcome.is_err());
-                drop(span);
-                if results[index].set(outcome).is_err() {
-                    unreachable!("the cursor hands each chunk to exactly one worker");
-                }
-            };
+        let settle = |index: usize, span: SpanGuard, outcome: Result<Score, GestError>| {
+            self.finish_candidate_metrics(started, &worker.counter, outcome.is_err());
+            drop(span);
+            if results[index].set(outcome).is_err() {
+                unreachable!("the cursor hands each chunk to exactly one worker");
+            }
+        };
         let mut pending: Vec<(usize, SpanGuard)> = chunk
             .iter()
             .map(|&index| {
@@ -1471,7 +1489,7 @@ impl GestRun {
                     &[
                         ("candidate", candidates[index].id.into()),
                         ("generation", u64::from(generation).into()),
-                        ("worker", worker.into()),
+                        ("worker", worker.index.into()),
                     ],
                 );
                 (index, span)
@@ -1484,7 +1502,7 @@ impl GestRun {
             let mut misses: Vec<(usize, SpanGuard, Option<EvalKey>)> = Vec::new();
             for (index, span) in pending {
                 let candidate = &candidates[index];
-                let key = self.eval_key(candidate);
+                let key = hashes.map(|hashes| self.eval_key(hashes[index]));
                 match catch_measure(candidate.id, || {
                     Ok(self.cached_eval(candidate, key.as_ref()))
                 }) {
@@ -1502,7 +1520,7 @@ impl GestRun {
                         genes: &candidates[index].genes,
                     })
                     .collect();
-                let lanes = self.measure_chunk(worker, &requests);
+                let lanes = self.measure_chunk(worker.index, &requests);
                 for ((index, span, key), lane) in misses.into_iter().zip(lanes) {
                     let candidate = &candidates[index];
                     let completed = lane.and_then(|(measurements, detail)| {
@@ -1511,7 +1529,7 @@ impl GestRun {
                         })
                     });
                     match completed {
-                        Ok(evaluated) => settle(index, span, Ok(evaluated)),
+                        Ok(score) => settle(index, span, Ok(score)),
                         Err(error) => failed.push((index, span, error)),
                     }
                 }
@@ -1530,25 +1548,19 @@ impl GestRun {
                 continue;
             }
             for (index, span, error) in failed {
-                let candidate = &candidates[index];
                 let outcome = if policy.quarantine {
                     self.telemetry.add_counter("eval.quarantined", 1);
                     self.telemetry.point(
                         "quarantine",
                         &[
-                            ("candidate", candidate.id.into()),
+                            ("candidate", candidates[index].id.into()),
                             ("generation", u64::from(generation).into()),
                             ("attempts", u64::from(attempt).into()),
                             ("error", error.to_string().into()),
                         ],
                     );
-                    Ok(Evaluated {
-                        id: candidate.id,
-                        parents: candidate.parents,
-                        genes: candidate.genes.clone(),
-                        fitness: QUARANTINE_FITNESS,
-                        measurements: vec![f64::NAN; self.measurement.metrics().len()],
-                    })
+                    let unmeasured = vec![f64::NAN; self.measurement.metrics().len()];
+                    Ok((QUARANTINE_FITNESS, unmeasured))
                 } else {
                     Err(error)
                 };
@@ -1560,13 +1572,12 @@ impl GestRun {
 
     /// Per-candidate closing metrics: evaluation latency, worker
     /// utilization, and failures.
-    fn finish_candidate_metrics(&self, started: Instant, worker: usize, failed: bool) {
+    fn finish_candidate_metrics(&self, started: Instant, worker_counter: &str, failed: bool) {
         if self.telemetry.is_enabled() {
             let elapsed_us = started.elapsed().as_secs_f64() * 1e6;
             self.telemetry
-                .record("eval.latency_us", &latency_buckets(), elapsed_us);
-            self.telemetry
-                .add_counter(&format!("eval.worker.{worker}.candidates"), 1);
+                .record("eval.latency_us", latency_buckets(), elapsed_us);
+            self.telemetry.add_counter(worker_counter, 1);
             if failed {
                 self.telemetry.add_counter("eval.failures", 1);
             }
@@ -1616,26 +1627,22 @@ impl GestRun {
             .collect()
     }
 
-    /// The evaluation cache key for a candidate, when caching is on.
+    /// The evaluation cache key for a candidate's [`genes_hash`].
     /// Content-addressed: keyed by what the candidate *is* (canonical
     /// gene bytes), not which generation/id it carries, so elites and
     /// re-bred duplicates skip simulation entirely.
-    fn eval_key(&self, candidate: &Candidate<Gene>) -> Option<EvalKey> {
-        self.eval_cache.as_ref().map(|_| EvalKey {
+    fn eval_key(&self, genes_hash: u128) -> EvalKey {
+        EvalKey {
             config_fp: self.config_fingerprint,
-            genes_hash: genes_hash(&candidate.genes),
-        })
+            genes_hash,
+        }
     }
 
     /// Cache-probe half of an evaluation: on a hit, replays the cached
     /// simulator detail into telemetry and recomputes fitness (it can
     /// depend on gene structure and the pool, which the key does not
     /// cover).
-    fn cached_eval(
-        &self,
-        candidate: &Candidate<Gene>,
-        key: Option<&EvalKey>,
-    ) -> Option<Evaluated<Gene>> {
+    fn cached_eval(&self, candidate: &Candidate<Gene>, key: Option<&EvalKey>) -> Option<Score> {
         let (cache, key) = match (&self.eval_cache, key) {
             (Some(cache), Some(key)) => (cache, key),
             _ => return None,
@@ -1643,11 +1650,7 @@ impl GestRun {
         let cached = cache.get(key)?;
         if self.telemetry.is_enabled() {
             if let Some(kv) = &cached.detail_kv {
-                let buckets = sim_buckets();
-                for &(stat, value) in kv {
-                    self.telemetry
-                        .record(&format!("sim.{stat}"), &buckets, value);
-                }
+                record_sim_stats(&self.telemetry, kv);
             }
         }
         let fitness = self.fitness.fitness(&FitnessContext {
@@ -1655,13 +1658,7 @@ impl GestRun {
             genes: &candidate.genes,
             pool: &self.config.pool,
         });
-        Some(Evaluated {
-            id: candidate.id,
-            parents: candidate.parents,
-            genes: candidate.genes.clone(),
-            fitness,
-            measurements: cached.measurements,
-        })
+        Some((fitness, cached.measurements))
     }
 
     /// Completion half of an evaluation: validates, exports telemetry
@@ -1672,7 +1669,7 @@ impl GestRun {
         key: Option<EvalKey>,
         measurements: Vec<f64>,
         detail: Option<gest_sim::RunResult>,
-    ) -> Result<Evaluated<Gene>, GestError> {
+    ) -> Result<Score, GestError> {
         // Reject NaN/Inf before the result can reach the cache or a
         // fitness function: non-finite measurements poison comparisons
         // silently, so they count as a measurement failure (and go
@@ -1683,13 +1680,10 @@ impl GestRun {
                 message: format!("backend returned a non-finite measurement ({bad})"),
             });
         }
+        let detail_kv = detail.as_ref().map(gest_sim::RunResult::metric_kv);
         if self.telemetry.is_enabled() {
-            if let Some(result) = &detail {
-                let buckets = sim_buckets();
-                for (key, value) in result.metric_kv() {
-                    self.telemetry
-                        .record(&format!("sim.{key}"), &buckets, value);
-                }
+            if let Some(kv) = &detail_kv {
+                record_sim_stats(&self.telemetry, kv);
             }
         }
         if let (Some(cache), Some(key)) = (&self.eval_cache, key) {
@@ -1697,7 +1691,7 @@ impl GestRun {
                 key,
                 CachedEval {
                     measurements: measurements.clone(),
-                    detail_kv: detail.as_ref().map(|result| result.metric_kv()),
+                    detail_kv,
                 },
             );
         }
@@ -1706,14 +1700,58 @@ impl GestRun {
             genes: &candidate.genes,
             pool: &self.config.pool,
         });
-        Ok(Evaluated {
-            id: candidate.id,
-            parents: candidate.parents,
-            genes: candidate.genes.clone(),
-            fitness,
-            measurements,
-        })
+        Ok((fitness, measurements))
     }
+}
+
+/// One generation's evaluation inputs and result slots, shared read-only
+/// by every wave and worker of [`GestRun::evaluate`].
+#[derive(Clone, Copy)]
+struct EvalContext<'a> {
+    generation: u32,
+    candidates: &'a [Candidate<Gene>],
+    /// [`genes_hash`] per candidate; `None` when the cache is off.
+    hashes: Option<&'a [u128]>,
+    results: &'a [EvalSlot],
+    /// The `evaluate` span the per-candidate spans hang under.
+    span: Option<u64>,
+}
+
+/// One evaluation thread of a wave, with its utilization counter name
+/// formatted once per wave rather than per candidate.
+struct Worker {
+    index: usize,
+    counter: String,
+}
+
+/// Splits candidate indices into dedup leaders (first occurrence of
+/// each gene content) and followers (in-generation duplicates, served
+/// from the cache after their leader's wave), plus a `leader_of`
+/// mapping (`leader_of[i] == i` for leaders) that surrogate screening
+/// uses to keep a follower's fate consistent with its leader's.
+/// `hashes` is `None` when the cache is off: there is nothing to serve
+/// followers from, so everything leads.
+fn split_duplicates(count: usize, hashes: Option<&[u128]>) -> (Vec<usize>, Vec<usize>, Vec<usize>) {
+    let mut leader_of: Vec<usize> = (0..count).collect();
+    let Some(hashes) = hashes else {
+        return ((0..count).collect(), Vec::new(), leader_of);
+    };
+    let mut seen: HashMap<u128, usize> = HashMap::with_capacity(count);
+    let mut leaders = Vec::with_capacity(count);
+    let mut followers = Vec::new();
+    for (index, &hash) in hashes.iter().enumerate() {
+        match seen.entry(hash) {
+            std::collections::hash_map::Entry::Vacant(slot) => {
+                slot.insert(index);
+                leaders.push(index);
+            }
+            std::collections::hash_map::Entry::Occupied(slot) => {
+                leader_of[index] = *slot.get();
+                followers.push(index);
+            }
+        }
+    }
+    (leaders, followers, leader_of)
 }
 
 #[cfg(test)]
@@ -1734,6 +1772,34 @@ mod tests {
 
     fn build_run(config: GestConfig) -> GestRun {
         GestRun::builder().config(config).build().unwrap()
+    }
+
+    /// Every individual carries the id, parents and genes of the
+    /// candidate in its position: evaluation moves them, it never
+    /// reorders or mixes them up.
+    fn assert_assembled(candidates: &[Candidate<Gene>], population: &Population<Gene>) {
+        assert_eq!(population.individuals.len(), candidates.len());
+        for (candidate, individual) in candidates.iter().zip(&population.individuals) {
+            assert_eq!(individual.id, candidate.id);
+            assert_eq!(individual.parents, candidate.parents);
+            assert_eq!(individual.genes, candidate.genes);
+        }
+    }
+
+    /// What [`GestRun::step`] does around [`GestRun::evaluate`], keeping
+    /// a copy of the bred candidates for [`assert_assembled`].
+    fn step_by_hand(run: &mut GestRun) -> (Vec<Candidate<Gene>>, Population<Gene>) {
+        let candidates = match &run.current {
+            None => run.engine.seed(),
+            Some(population) => run.engine.next_generation(population),
+        };
+        let population = run
+            .evaluate(run.generation, candidates.clone(), None)
+            .unwrap();
+        run.history.record(&population);
+        run.generation += 1;
+        run.current = Some(population.clone());
+        (candidates, population)
     }
 
     #[test]
@@ -1971,6 +2037,113 @@ mod tests {
             None,
             "a quarantined candidate is not a run failure"
         );
+
+        // The quarantined lane keeps its candidate's identity and genes.
+        let mut run = GestRun::builder()
+            .config(tiny_config("cortex-a15", "power"))
+            .measurement(Arc::new(Panicky))
+            .build()
+            .unwrap();
+        let (candidates, population) = step_by_hand(&mut run);
+        assert_assembled(&candidates, &population);
+        let quarantined = &population.individuals[2];
+        assert_eq!(quarantined.id, 2);
+        assert_eq!(quarantined.fitness, QUARANTINE_FITNESS);
+        assert!(quarantined.measurements.iter().all(|m| m.is_nan()));
+    }
+
+    #[test]
+    fn screened_candidates_keep_their_identity_and_genes() {
+        let mut config = tiny_config("cortex-a15", "power");
+        config.ga.population_size = 10;
+        config.generations = 12;
+        config.seed = 777;
+        config.surrogate = SurrogateOptions {
+            mode: SurrogateMode::Screen,
+            topk: 3,
+            explore: 2,
+        };
+        let mut run = build_run(config);
+        let mut screened_generations = 0;
+        while !run.is_complete() {
+            let (candidates, population) = step_by_hand(&mut run);
+            assert_assembled(&candidates, &population);
+            let runtime = run.surrogate_lock().unwrap();
+            for individual in &population.individuals {
+                if runtime.screened_last.contains(&individual.id) {
+                    assert!(individual.measurements.iter().all(|m| m.is_nan()));
+                }
+            }
+            screened_generations += usize::from(!runtime.screened_last.is_empty());
+        }
+        assert!(
+            screened_generations > 0,
+            "the gate must open within the budget for this test to mean anything"
+        );
+    }
+
+    #[test]
+    fn plateau_detection_does_not_depend_on_tracing() {
+        use gest_telemetry::MemorySink;
+
+        let run_with = |telemetry: Telemetry| {
+            let mut config = tiny_config("athlon-x4", "voltage_noise");
+            config.generations = 40;
+            config.telemetry = telemetry;
+            let mut run = build_run(config);
+            let mut steps = Vec::new();
+            loop {
+                let outcome = run.step().unwrap();
+                let population =
+                    SavedPopulation::from_population(run.population().unwrap()).encode();
+                steps.push((outcome, population));
+                if outcome.is_terminal() {
+                    break;
+                }
+            }
+            run.finish();
+            steps
+        };
+        let traced = run_with(Telemetry::new(Arc::new(MemorySink::default())));
+        let untraced = run_with(Telemetry::disabled());
+        assert!(
+            traced
+                .iter()
+                .any(|(outcome, _)| *outcome == StepOutcome::Converged),
+            "the search must plateau within the budget for this test to mean anything"
+        );
+        assert_eq!(traced.len(), untraced.len());
+        for (generation, (traced, untraced)) in traced.iter().zip(&untraced).enumerate() {
+            assert_eq!(traced.0, untraced.0, "outcome of generation {generation}");
+            assert!(
+                traced.1 == untraced.1,
+                "population of generation {generation} differs"
+            );
+        }
+    }
+
+    #[test]
+    fn sim_metric_names_match_the_simulator_stats() {
+        let run = build_run(tiny_config("athlon-x4", "voltage_noise"));
+        let genes = vec![gest_isa::Gene {
+            def_index: 0,
+            instrs: gest_isa::asm::parse_block("ADD x1, x2, x3").unwrap(),
+        }];
+        let program = run.materialize("probe", &genes);
+        let result = gest_sim::Simulator::new(run.config.machine.clone())
+            .run(&program, &run.config.run_config)
+            .unwrap();
+        let kv = result.metric_kv();
+        assert!(
+            kv.iter().any(|(stat, _)| stat.starts_with("voltage_")),
+            "the PDN stats are covered too"
+        );
+        for (stat, _) in kv {
+            let name = sim_metric_name(stat);
+            assert!(matches!(name, Cow::Borrowed(_)), "{stat} is in the table");
+            assert_eq!(name, format!("sim.{stat}"));
+        }
+        assert_eq!(sim_metric_name("new_stat"), "sim.new_stat");
     }
 
     #[test]
@@ -2237,12 +2410,14 @@ mod tests {
         ];
 
         let run = build_run(tiny_config("cortex-a7", "power"));
-        let (leaders, followers, leader_of) = run.split_duplicates(&candidates);
+        let hashes: Vec<u128> = candidates.iter().map(|c| genes_hash(&c.genes)).collect();
+        let (leaders, followers, leader_of) = split_duplicates(candidates.len(), Some(&hashes));
         assert_eq!(leaders, vec![0, 1]);
         assert_eq!(followers, vec![2, 3]);
         assert_eq!(leader_of, vec![0, 1, 0, 1]);
 
         let population = run.evaluate(0, candidates.clone(), None).unwrap();
+        assert_assembled(&candidates, &population);
         let stats = run.eval_cache_stats().unwrap();
         assert_eq!(stats.misses, 2, "one simulation per distinct content");
         assert_eq!(stats.hits, 2, "followers are served from the cache");
@@ -2258,11 +2433,12 @@ mod tests {
             .eval_cache(false)
             .build()
             .unwrap();
-        let (leaders, followers, leader_of) = uncached.split_duplicates(&candidates);
+        let (leaders, followers, leader_of) = split_duplicates(candidates.len(), None);
         assert_eq!(leaders.len(), 4);
         assert!(followers.is_empty());
         assert_eq!(leader_of, vec![0, 1, 2, 3], "without a cache all lead");
-        let plain = uncached.evaluate(0, candidates, None).unwrap();
+        let plain = uncached.evaluate(0, candidates.clone(), None).unwrap();
+        assert_assembled(&candidates, &plain);
         assert_eq!(
             plain.individuals[2].measurements[0].to_bits(),
             population.individuals[2].measurements[0].to_bits(),

@@ -159,7 +159,14 @@ impl MetricsRegistry {
     /// Adds `delta` to the named counter (created at zero on first use).
     pub fn add_counter(&self, name: &str, delta: u64) {
         let mut state = self.state.lock().expect("metrics lock");
-        *state.counters.entry(name.to_string()).or_insert(0) += delta;
+        // Look up before inserting: the name is copied only on first use,
+        // not on every update of a hot counter.
+        match state.counters.get_mut(name) {
+            Some(counter) => *counter += delta,
+            None => {
+                state.counters.insert(name.to_string(), delta);
+            }
+        }
     }
 
     /// Sets the named gauge to `value`.
@@ -172,11 +179,14 @@ impl MetricsRegistry {
     /// `buckets` on first use (later calls keep the original buckets).
     pub fn record(&self, name: &str, buckets: &Buckets, value: f64) {
         let mut state = self.state.lock().expect("metrics lock");
-        state
-            .histograms
-            .entry(name.to_string())
-            .or_insert_with(|| HistogramSnapshot::new(buckets))
-            .record(value);
+        match state.histograms.get_mut(name) {
+            Some(histogram) => histogram.record(value),
+            None => {
+                let mut histogram = HistogramSnapshot::new(buckets);
+                histogram.record(value);
+                state.histograms.insert(name.to_string(), histogram);
+            }
+        }
     }
 
     /// Current value of a counter (`0` if never touched).
