@@ -58,8 +58,13 @@ impl CacheStats {
 #[derive(Debug, Clone)]
 pub struct DataCache {
     config: CacheConfig,
-    /// Per set: (tag, last-use tick) per way; `u64::MAX` tag = invalid.
-    sets: Vec<Vec<(u64, u64)>>,
+    /// `ways` consecutive (tag, last-use tick) entries per set;
+    /// `u64::MAX` tag = invalid.
+    lines: Vec<(u64, u64)>,
+    /// log2 of the line size.
+    line_shift: u32,
+    /// log2 of the set count.
+    set_shift: u32,
     tick: u64,
     stats: CacheStats,
 }
@@ -69,8 +74,8 @@ impl DataCache {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is not power-of-two sized or implies zero
-    /// sets.
+    /// Panics if the geometry is not power-of-two sized or implies a set
+    /// count that is zero or not a power of two.
     pub fn new(config: CacheConfig) -> DataCache {
         assert!(
             config.size_bytes.is_power_of_two(),
@@ -83,9 +88,15 @@ impl DataCache {
         assert!(config.ways >= 1, "need at least one way");
         let sets = config.sets();
         assert!(sets >= 1, "geometry implies zero sets");
+        assert!(
+            sets.is_power_of_two(),
+            "set count must be a power of two, got {sets}"
+        );
         DataCache {
             config,
-            sets: vec![vec![(u64::MAX, 0); config.ways]; sets],
+            lines: vec![(u64::MAX, 0); sets * config.ways],
+            line_shift: config.line_bytes.trailing_zeros(),
+            set_shift: sets.trailing_zeros(),
             tick: 0,
             stats: CacheStats::default(),
         }
@@ -98,12 +109,14 @@ impl DataCache {
 
     /// Accesses the byte address; returns `true` on hit. Misses fill the
     /// line (write-allocate; stores and loads are treated alike).
+    #[inline]
     pub fn access(&mut self, addr: usize) -> bool {
         self.tick += 1;
-        let line = addr / self.config.line_bytes;
-        let set_index = line % self.sets.len();
-        let tag = (line / self.sets.len()) as u64;
-        let set = &mut self.sets[set_index];
+        let line = addr >> self.line_shift;
+        let set_index = line & ((1 << self.set_shift) - 1);
+        let tag = (line >> self.set_shift) as u64;
+        let ways = self.config.ways;
+        let set = &mut self.lines[set_index * ways..(set_index + 1) * ways];
         if let Some(way) = set.iter_mut().find(|(t, _)| *t == tag) {
             way.1 = self.tick;
             self.stats.hits += 1;
@@ -133,7 +146,7 @@ impl DataCache {
     /// regardless of absolute tick values. Statistics are excluded.
     pub(crate) fn lru_signature(&self, out: &mut Vec<(u64, u8)>) {
         out.clear();
-        for set in &self.sets {
+        for set in self.lines.chunks_exact(self.config.ways) {
             for (i, &(tag, tick)) in set.iter().enumerate() {
                 let rank = set
                     .iter()
@@ -147,9 +160,7 @@ impl DataCache {
 
     /// Clears contents and statistics.
     pub fn reset(&mut self) {
-        for set in &mut self.sets {
-            set.fill((u64::MAX, 0));
-        }
+        self.lines.fill((u64::MAX, 0));
         self.tick = 0;
         self.stats = CacheStats::default();
     }
@@ -220,6 +231,17 @@ mod tests {
     #[test]
     fn empty_stats_hit_rate_is_one() {
         assert_eq!(CacheStats::default().hit_rate(), 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "set count must be a power of two")]
+    fn non_power_of_two_set_count_panics() {
+        // 4096 B / (64 B lines × 3 ways) = 21 sets.
+        let _ = DataCache::new(CacheConfig {
+            size_bytes: 4096,
+            line_bytes: 64,
+            ways: 3,
+        });
     }
 
     #[test]
