@@ -16,7 +16,7 @@
 use crate::{prom, ObsSink};
 use gest_telemetry::Telemetry;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -36,8 +36,51 @@ pub const MAX_BODY_BYTES: usize = 1024 * 1024;
 /// gets cut off instead of pinning a handler thread.
 const SOCKET_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// How often the accept loop polls the stop flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
+/// How long an accept loop backs off after an `accept` error (say, the
+/// process ran out of file descriptors) before trying again.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
+
+/// Wakes an accept loop blocked on the listener bound to `addr` by
+/// connecting to it once; the loop sees its stop flag on that
+/// connection and exits. An unspecified bind address (`0.0.0.0`, `::`)
+/// is reached through loopback. Returns whether the connection was made,
+/// i.e. whether joining the accept thread is safe.
+pub fn wake_accept_loop(addr: SocketAddr) -> bool {
+    let mut target = addr;
+    if target.ip().is_unspecified() {
+        target.set_ip(match target.ip() {
+            IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        });
+    }
+    TcpStream::connect_timeout(&target, SOCKET_TIMEOUT).is_ok()
+}
+
+/// Runs a blocking accept loop on `listener` until `stop` is set (and
+/// [`wake_accept_loop`] unblocks it), handing each connection to
+/// `handle` on its own detached thread.
+pub fn accept_until_stopped(
+    listener: &TcpListener,
+    stop: &AtomicBool,
+    handle: impl Fn(TcpStream) + Clone + Send + 'static,
+) {
+    loop {
+        let accepted = listener.accept();
+        if stop.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
+            Ok((stream, _peer)) => {
+                let handle = handle.clone();
+                // Detached on purpose: each connection is bounded by its
+                // socket timeouts, so handlers cannot outlive a stop by
+                // more than that.
+                std::thread::spawn(move || handle(stream));
+            }
+            Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
+        }
+    }
+}
 
 /// The live status endpoint (`/metrics`, `/status`, `/trace`).
 ///
@@ -72,27 +115,13 @@ impl StatusServer {
         obs: Arc<ObsSink>,
     ) -> io::Result<StatusServer> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let accept_stop = Arc::clone(&stop);
         let accept_thread = std::thread::spawn(move || {
-            while !accept_stop.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        let telemetry = telemetry.clone();
-                        let obs = Arc::clone(&obs);
-                        // Detached on purpose: each connection is bounded
-                        // by SOCKET_TIMEOUT, so handlers cannot outlive a
-                        // stop by more than that.
-                        std::thread::spawn(move || serve_connection(stream, &telemetry, &obs));
-                    }
-                    Err(error) if error.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(ACCEPT_POLL);
-                    }
-                    Err(_) => std::thread::sleep(ACCEPT_POLL),
-                }
-            }
+            accept_until_stopped(&listener, &accept_stop, move |stream| {
+                serve_connection(stream, &telemetry, &obs)
+            })
         });
         Ok(StatusServer {
             addr,
@@ -111,7 +140,11 @@ impl StatusServer {
     pub fn stop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(thread) = self.accept_thread.take() {
-            let _ = thread.join();
+            // A loop that cannot be woken is left detached rather than
+            // joined forever.
+            if wake_accept_loop(self.addr) {
+                let _ = thread.join();
+            }
         }
     }
 }
@@ -516,6 +549,25 @@ mod tests {
         assert_eq!(request.query.as_deref(), Some("priority=2"));
         assert_eq!(request.body, b"hello world");
         assert!(response.ends_with(b"hello world"));
+    }
+
+    #[test]
+    fn stop_wakes_a_loop_bound_to_the_unspecified_address() {
+        let obs = Arc::new(ObsSink::default());
+        let telemetry = Telemetry::new(Arc::clone(&obs) as Arc<dyn Sink>);
+        let mut server = StatusServer::start("0.0.0.0:0", telemetry, obs).unwrap();
+        let port = server.addr().port();
+        // The blocked loop still serves, and stop reaches it through
+        // loopback and joins it.
+        let (code, _) = http_get(&format!("127.0.0.1:{port}"), "/status", SOCKET_TIMEOUT).unwrap();
+        assert_eq!(code, 200);
+        server.stop();
+        assert!(server.accept_thread.is_none());
+        assert!(TcpStream::connect_timeout(
+            &([127, 0, 0, 1], port).into(),
+            Duration::from_millis(500)
+        )
+        .is_err());
     }
 
     #[test]

@@ -30,9 +30,9 @@ pub mod prom;
 pub mod top;
 
 pub use http::{
-    http_get, http_request, read_http_request, write_http_response,
-    write_http_response_with_headers, HttpRequest, ParsedRequest, StatusServer, MAX_BODY_BYTES,
-    MAX_HEAD_BYTES,
+    accept_until_stopped, http_get, http_request, read_http_request, wake_accept_loop,
+    write_http_response, write_http_response_with_headers, HttpRequest, ParsedRequest,
+    StatusServer, MAX_BODY_BYTES, MAX_HEAD_BYTES,
 };
 
 use gest_telemetry::json::Value;
