@@ -24,6 +24,7 @@ use gest_isa::InstructionPool;
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -371,36 +372,27 @@ impl Read for RetryingReader<'_> {
     }
 }
 
-/// Emits heartbeats on a writer until dropped.
+/// Emits heartbeats on a writer until dropped. The thread waits on a
+/// channel between beats, so dropping the guard (which drops the sender)
+/// wakes and ends it at once.
 struct HeartbeatGuard {
-    stop: Arc<AtomicBool>,
+    stop: Option<mpsc::Sender<()>>,
     join: Option<JoinHandle<()>>,
 }
 
 impl HeartbeatGuard {
     fn start(writer: Arc<Mutex<TcpStream>>) -> HeartbeatGuard {
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread_stop = Arc::clone(&stop);
+        let (stop, stopped) = mpsc::channel::<()>();
         let join = std::thread::spawn(move || {
-            // Tick in POLL_INTERVAL steps so drop latency stays small.
-            let mut elapsed = Duration::ZERO;
-            loop {
-                if thread_stop.load(Ordering::SeqCst) {
+            while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(HEARTBEAT_INTERVAL) {
+                let mut writer = writer.lock().unwrap();
+                if write_frame(&mut *writer, &Frame::Heartbeat).is_err() {
                     return;
-                }
-                std::thread::sleep(POLL_INTERVAL);
-                elapsed += POLL_INTERVAL;
-                if elapsed >= HEARTBEAT_INTERVAL {
-                    elapsed = Duration::ZERO;
-                    let mut writer = writer.lock().unwrap();
-                    if write_frame(&mut *writer, &Frame::Heartbeat).is_err() {
-                        return;
-                    }
                 }
             }
         });
         HeartbeatGuard {
-            stop,
+            stop: Some(stop),
             join: Some(join),
         }
     }
@@ -408,7 +400,7 @@ impl HeartbeatGuard {
 
 impl Drop for HeartbeatGuard {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+        drop(self.stop.take());
         if let Some(join) = self.join.take() {
             let _ = join.join();
         }
