@@ -8,10 +8,14 @@
 //! final best individual's measurement bits. Each search runs at lane
 //! widths 1 and 4, which must agree with each other and with the table.
 //!
+//! A second table pins the on-disk `GESTCKP1` checkpoint manifest each
+//! search leaves behind, which the population digests do not cover.
+//!
 //! Changing a digest is a deliberate, reviewed act: a mismatch prints the
 //! digests the current build produces.
 
-use gest::core::{GestConfig, GestRun, SavedPopulation};
+use gest::core::{GestConfig, GestConfigBuilder, GestRun, SavedPopulation, CHECKPOINT_FILE};
+use std::path::Path;
 
 /// FNV-1a 64 over `bytes`.
 fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -49,13 +53,26 @@ const GOLDEN: [(&str, &str, u64, u64); 4] = [
     ),
 ];
 
-fn config(machine: &str, measurement: &str, lane_width: usize) -> GestConfig {
+/// `(machine, measurement, checkpoint-manifest digest)` for the same four
+/// searches, checkpointing every generation.
+const GOLDEN_CHECKPOINTS: [(&str, &str, u64); 4] = [
+    ("cortex-a15", "power", 0x2ad9_139a_d903_05b7),
+    ("cortex-a7", "power", 0x39ef_cc46_bab3_471d),
+    ("xgene2", "temperature", 0xab6d_6e1d_da6f_ec60),
+    ("athlon-x4", "voltage_noise", 0x75c5_723e_600e_4bb9),
+];
+
+fn builder(machine: &str, measurement: &str) -> GestConfigBuilder {
     GestConfig::builder(machine)
         .measurement(measurement)
         .population_size(8)
         .individual_size(10)
         .generations(3)
         .seed(42)
+}
+
+fn config(machine: &str, measurement: &str, lane_width: usize) -> GestConfig {
+    builder(machine, measurement)
         .lane_width(lane_width)
         .build()
         .unwrap()
@@ -90,6 +107,52 @@ fn paper_case_studies_match_committed_digests_at_lane_widths_1_and_4() {
                     got.0, got.1
                 ));
             }
+        }
+    }
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}
+
+/// Byte range of the config fingerprint in a manifest: after the
+/// length-prefixed magic (1 + 8 bytes) and the `u32` version.
+const FINGERPRINT_BYTES: std::ops::Range<usize> = 13..21;
+
+/// Runs one search with a checkpoint every generation and digests the
+/// final `checkpoint.bin` exactly as written. The config fingerprint
+/// covers the output directory's path, so those eight bytes are checked
+/// against the run's own fingerprint and then zeroed before digesting.
+fn checkpoint_digest(machine: &str, measurement: &str, dir: &Path) -> u64 {
+    let config = builder(machine, measurement)
+        .output_dir(dir)
+        .checkpoint_every(1)
+        .build()
+        .unwrap();
+    let mut run = GestRun::builder().config(config).build().unwrap();
+    while !run.step().unwrap().is_terminal() {}
+    let fingerprint = run.config_fingerprint();
+    run.finish();
+    let mut bytes = std::fs::read(dir.join(CHECKPOINT_FILE)).unwrap();
+    assert_eq!(
+        bytes[FINGERPRINT_BYTES],
+        fingerprint.to_le_bytes(),
+        "{machine}: manifest fingerprint"
+    );
+    bytes[FINGERPRINT_BYTES].fill(0);
+    fnv1a64(&bytes)
+}
+
+#[test]
+fn paper_case_studies_write_the_committed_checkpoint_manifests() {
+    let mut mismatches = Vec::new();
+    for (machine, measurement, committed) in GOLDEN_CHECKPOINTS {
+        let dir =
+            std::env::temp_dir().join(format!("gest_golden_ckpt_{machine}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let got = checkpoint_digest(machine, measurement, &dir);
+        std::fs::remove_dir_all(&dir).unwrap();
+        if got != committed {
+            mismatches.push(format!(
+                "{machine} {measurement}: got {got:#018x}, committed {committed:#018x}"
+            ));
         }
     }
     assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
