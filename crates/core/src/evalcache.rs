@@ -24,7 +24,8 @@
 
 use crate::error::GestError;
 use crate::output::{atomic_write, WriteFs};
-use gest_isa::codec::{Decoder, Encoder};
+use gest_ga::Fnv128;
+use gest_isa::codec::{Decoder, Encoder, Sink};
 use gest_isa::Gene;
 use std::collections::HashMap;
 use std::path::Path;
@@ -60,15 +61,21 @@ pub const EVAL_CACHE_FILE: &str = "evalcache.bin";
 
 /// Canonical content hash of an individual's genes: 128-bit FNV-1a over
 /// the same codec encoding population files use, so two individuals hash
-/// equal exactly when they would be saved byte-identically.
+/// equal exactly when they would be saved byte-identically. The encoding
+/// streams straight into the hasher; no byte buffer is built.
 pub fn genes_hash(genes: &[Gene]) -> u128 {
-    let mut enc = Encoder::new();
-    enc.varint(genes.len() as u64);
-    for gene in genes {
-        enc.varint(gene.def_index as u64);
-        enc.instructions(&gene.instrs);
+    let mut enc = Encoder::with_sink(HashSink(Fnv128::new()));
+    enc.genes(genes);
+    enc.into_sink().0.finish()
+}
+
+/// Feeds an [`Encoder`]'s bytes into a running [`Fnv128`].
+struct HashSink(Fnv128);
+
+impl Sink for HashSink {
+    fn put(&mut self, bytes: &[u8]) {
+        self.0.write(bytes);
     }
-    gest_ga::canonical_hash_bytes(&enc.into_bytes())
 }
 
 /// Cache key: which search configuration measured which program content.

@@ -46,11 +46,7 @@ pub struct HealthReport {
 /// is measured over exactly the bytes that determine artifact identity.
 pub fn genome_bytes(genes: &[Gene]) -> Vec<u8> {
     let mut enc = Encoder::new();
-    enc.varint(genes.len() as u64);
-    for gene in genes {
-        enc.varint(gene.def_index as u64);
-        enc.instructions(&gene.instrs);
-    }
+    enc.genes(genes);
     enc.into_bytes()
 }
 

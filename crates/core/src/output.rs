@@ -135,11 +135,7 @@ impl SavedIndividual {
         for &m in &self.measurements {
             enc.f64(m);
         }
-        enc.varint(self.genes.len() as u64);
-        for gene in &self.genes {
-            enc.varint(gene.def_index as u64);
-            enc.instructions(&gene.instrs);
-        }
+        enc.genes(&self.genes);
     }
 
     /// Deserializes one individual.

@@ -1,10 +1,15 @@
 //! Property tests for the evaluation cache: a search with the cache
 //! enabled must be observationally identical — fitness and measurement
 //! bits included — to the same search evaluated fresh, on every machine
-//! model, for arbitrary seeds.
+//! model, for arbitrary seeds; and the cache key must hash exactly the
+//! canonical gene bytes.
 
-use gest_core::{GestConfig, GestRun};
+use gest_core::{genes_hash, GestConfig, GestRun};
+use gest_isa::codec::Encoder;
+use gest_isa::Gene;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Runs a small search and flattens every individual of every generation
 /// into comparable bits: (generation, id, fitness bits, measurement bits).
@@ -64,5 +69,34 @@ proptest! {
             let fresh = evaluate(machine, seed, false);
             prop_assert_eq!(&cached, &fresh, "machine {}", machine);
         }
+    }
+}
+
+/// The canonical gene encoding written out field by field into a byte
+/// buffer, then hashed in one call — the reference the streamed
+/// [`genes_hash`] must reproduce.
+fn buffered_hash(genes: &[Gene]) -> u128 {
+    let mut enc = Encoder::new();
+    enc.varint(genes.len() as u64);
+    for gene in genes {
+        enc.varint(gene.def_index as u64);
+        enc.instructions(&gene.instrs);
+    }
+    gest_ga::canonical_hash_bytes(&enc.into_bytes())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn streamed_genes_hash_equals_the_buffered_encoding_hash(
+        machine in prop::sample::select(vec!["cortex-a15", "cortex-a7", "xgene2", "athlon-x4"]),
+        seed in any::<u64>(),
+        len in 0usize..80,
+    ) {
+        let pool = GestConfig::builder(machine).build().unwrap().pool;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let genes: Vec<Gene> = (0..len).map(|_| pool.random_gene(&mut rng)).collect();
+        prop_assert_eq!(genes_hash(&genes), buffered_hash(&genes));
     }
 }

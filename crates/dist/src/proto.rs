@@ -3,9 +3,10 @@
 //! Every frame on the wire is `[u32 LE payload length][payload]`, where
 //! the payload starts with a one-byte frame kind followed by
 //! kind-specific fields in [`gest_isa::codec`] encoding. Genes travel in
-//! their canonical codec form — the same bytes [`gest_core::genes_hash`]
-//! hashes — so a worker's cache key for a candidate is derived from
-//! exactly the content the coordinator addressed it by.
+//! their canonical codec form ([`Encoder::genes`]), the same bytes
+//! [`gest_core::genes_hash`] hashes — so a worker's cache key for a
+//! candidate is derived from exactly the content the coordinator
+//! addressed it by.
 //!
 //! A session is: `Hello` exchange (magic + protocol version, catching
 //! version skew before anything else is parsed), `Config` →
@@ -225,8 +226,10 @@ impl Frame {
                 candidate,
                 genes,
             } => {
-                enc.u8(KIND_EVAL_REQUEST).u32(*generation).u64(*candidate);
-                encode_genes(&mut enc, genes);
+                enc.u8(KIND_EVAL_REQUEST)
+                    .u32(*generation)
+                    .u64(*candidate)
+                    .genes(genes);
             }
             Frame::EvalResult { candidate, outcome } => {
                 enc.u8(KIND_EVAL_RESULT).u64(*candidate);
@@ -369,16 +372,6 @@ fn decode_outcome(dec: &mut Decoder<'_>) -> Result<Result<Vec<f64>, String>, Dis
         tag => Err(DistError::Protocol(format!(
             "unknown eval-result tag {tag}"
         ))),
-    }
-}
-
-/// Encodes genes exactly as [`gest_core::genes_hash`] does: varint count,
-/// then per gene a varint `def_index` followed by its instruction block.
-fn encode_genes(enc: &mut Encoder, genes: &[Gene]) {
-    enc.varint(genes.len() as u64);
-    for gene in genes {
-        enc.varint(gene.def_index as u64);
-        enc.instructions(&gene.instrs);
     }
 }
 
@@ -531,7 +524,7 @@ mod tests {
             instrs: gest_isa::asm::parse_block("ADD x1, x2, x3").unwrap(),
         }];
         let mut enc = Encoder::new();
-        encode_genes(&mut enc, &genes);
+        enc.genes(&genes);
         let wire = enc.into_bytes();
 
         let mut reference = Encoder::new();

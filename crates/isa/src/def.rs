@@ -462,12 +462,11 @@ impl InstructionPool {
             .parts
             .iter()
             .map(|part| {
-                let operands = part
-                    .operand_ids
-                    .iter()
-                    .map(|id| self.operands[id].kind.sample(rng))
-                    .collect();
-                Instruction::new(part.opcode, operands)
+                let mut operands = [Operand::Target(0); 4];
+                for (operand, id) in operands.iter_mut().zip(&part.operand_ids) {
+                    *operand = self.operands[id].kind.sample(rng);
+                }
+                Instruction::from_operands(part.opcode, &operands[..part.operand_ids.len()])
                     .expect("pool validation guarantees operand compatibility")
             })
             .collect();
@@ -525,7 +524,7 @@ impl InstructionPool {
                             .operand_ids
                             .iter()
                             .zip(instr.operands())
-                            .all(|(id, &op)| self.operands[id].kind.contains(op))
+                            .all(|(id, op)| self.operands[id].kind.contains(op))
                 })
         })
     }
@@ -576,7 +575,7 @@ impl InstructionPool {
     pub fn flatten(genes: &[Gene]) -> Vec<Instruction> {
         genes
             .iter()
-            .flat_map(|g| g.instrs.iter().cloned())
+            .flat_map(|g| g.instrs.iter().copied())
             .collect()
     }
 }
@@ -662,7 +661,8 @@ mod tests {
         for _ in 0..200 {
             let gene = pool.random_gene(&mut rng);
             assert_eq!(pool.match_def(gene.first()), Some(0));
-            match gene.first().operands()[2] {
+            let offset = gene.first().operands().nth(2).unwrap();
+            match offset {
                 Operand::Imm(v) => {
                     assert!((0..=256).contains(&v) && v % 8 == 0, "imm {v}");
                 }

@@ -84,7 +84,7 @@ pub fn featurize(genes: &[Gene]) -> FeatureVec {
     for instr in &instrs {
         for operand in instr.operands() {
             if let Operand::Imm(value) = operand {
-                imm_bits += (*value as u64).count_ones();
+                imm_bits += (value as u64).count_ones();
                 imm_count += 1;
             }
         }

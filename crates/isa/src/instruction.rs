@@ -53,10 +53,14 @@ impl fmt::Display for Operand {
     }
 }
 
-/// A fully-instantiated instruction: opcode plus operands.
+/// A fully-instantiated instruction: opcode plus operands, held inline.
 ///
-/// Instances are guaranteed (by [`Instruction::new`]) to have operand kinds
-/// matching the opcode's [`slots`](Opcode::slots).
+/// Register indices, immediates and the branch distance live in fixed
+/// fields, so an instruction is `Copy`, at most 24 bytes, and building,
+/// cloning or executing one never touches the heap. Instances are
+/// guaranteed (by [`Instruction::new`]) to have operand kinds matching the
+/// opcode's [`slots`](Opcode::slots); [`operands`](Instruction::operands)
+/// recomputes the operand list from the inline fields.
 ///
 /// # Examples
 ///
@@ -75,10 +79,25 @@ impl fmt::Display for Operand {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Instruction {
-    opcode: Opcode,
-    operands: Vec<Operand>,
+    pub(crate) opcode: Opcode,
+    /// Register index of each operand position (integer or vector, as the
+    /// opcode's slot says); 0 for non-register positions.
+    pub(crate) regs: [u8; 4],
+    /// Immediate operands in signature order; unused entries are 0.
+    pub(crate) imms: [i64; 2],
+    /// Forward branch distance (branches only; 0 otherwise).
+    pub(crate) target: u8,
+}
+
+/// Which entry of [`Instruction::imms`] holds the immediate at operand
+/// position `index`: the number of immediate slots before it.
+fn imm_index(opcode: Opcode, index: usize) -> usize {
+    opcode.slots()[..index]
+        .iter()
+        .filter(|&&slot| slot == OperandSlot::Imm)
+        .count()
 }
 
 impl Instruction {
@@ -89,6 +108,17 @@ impl Instruction {
     /// Returns [`IsaError::BadOperands`] if the operands do not match the
     /// opcode's signature.
     pub fn new(opcode: Opcode, operands: Vec<Operand>) -> Result<Instruction, IsaError> {
+        Instruction::from_operands(opcode, &operands)
+    }
+
+    /// [`new`](Self::new) from borrowed operands, so callers can build
+    /// instructions without allocating.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`IsaError::BadOperands`] if the operands do not match the
+    /// opcode's signature.
+    pub fn from_operands(opcode: Opcode, operands: &[Operand]) -> Result<Instruction, IsaError> {
         let slots = opcode.slots();
         if operands.len() != slots.len() {
             return Err(IsaError::BadOperands {
@@ -96,22 +126,23 @@ impl Instruction {
                 message: format!("expected {} operands, got {}", slots.len(), operands.len()),
             });
         }
-        for (i, (&operand, &slot)) in operands.iter().zip(slots).enumerate() {
-            if !operand.fits(slot) {
-                return Err(IsaError::BadOperands {
-                    opcode,
-                    message: format!("operand {} must be a {}", i + 1, slot.describe()),
-                });
-            }
+        let mut instr = Instruction {
+            opcode,
+            ..Instruction::nop()
+        };
+        for (index, &operand) in operands.iter().enumerate() {
+            instr.set_operand(index, operand)?;
         }
-        Ok(Instruction { opcode, operands })
+        Ok(instr)
     }
 
     /// Shorthand for a `NOP`.
     pub fn nop() -> Instruction {
         Instruction {
             opcode: Opcode::Nop,
-            operands: Vec::new(),
+            regs: [0; 4],
+            imms: [0; 2],
+            target: 0,
         }
     }
 
@@ -120,9 +151,21 @@ impl Instruction {
         self.opcode
     }
 
-    /// The operands in signature order.
-    pub fn operands(&self) -> &[Operand] {
-        &self.operands
+    /// The operands in signature order, computed from the inline fields
+    /// without allocating.
+    pub fn operands(&self) -> impl ExactSizeIterator<Item = Operand> + '_ {
+        (0..self.opcode.slots().len()).map(|index| self.operand(index))
+    }
+
+    /// The operand at `index`, which must be within the signature.
+    fn operand(&self, index: usize) -> Operand {
+        let reg = self.regs[index];
+        match self.opcode.slots()[index] {
+            OperandSlot::IntDst | OperandSlot::IntSrc => Operand::Reg(Reg(reg)),
+            OperandSlot::VecDst | OperandSlot::VecSrc => Operand::VReg(VReg(reg)),
+            OperandSlot::Imm => Operand::Imm(self.imms[imm_index(self.opcode, index)]),
+            OperandSlot::BranchTarget => Operand::Target(self.target),
+        }
     }
 
     /// Replaces the operand at `index`, revalidating its kind.
@@ -146,58 +189,47 @@ impl Instruction {
                 message: format!("operand {} must be a {}", index + 1, slot.describe()),
             });
         }
-        self.operands[index] = operand;
+        match operand {
+            Operand::Reg(r) => self.regs[index] = r.index(),
+            Operand::VReg(v) => self.regs[index] = v.index(),
+            Operand::Imm(value) => self.imms[imm_index(self.opcode, index)] = value,
+            Operand::Target(t) => self.target = t,
+        }
         Ok(())
+    }
+
+    /// Register indices of the operand positions whose slot is `wanted`.
+    fn slot_indices(&self, wanted: OperandSlot) -> impl Iterator<Item = u8> + '_ {
+        self.opcode
+            .slots()
+            .iter()
+            .zip(self.regs)
+            .filter_map(move |(&slot, reg)| (slot == wanted).then_some(reg))
     }
 
     /// Integer registers written by this instruction.
     pub fn int_dsts(&self) -> impl Iterator<Item = Reg> + '_ {
-        self.slot_regs(OperandSlot::IntDst)
+        self.slot_indices(OperandSlot::IntDst).map(Reg)
     }
 
     /// Integer registers read by this instruction.
     pub fn int_srcs(&self) -> impl Iterator<Item = Reg> + '_ {
-        self.slot_regs(OperandSlot::IntSrc)
-    }
-
-    fn slot_regs(&self, wanted: OperandSlot) -> impl Iterator<Item = Reg> + '_ {
-        self.opcode
-            .slots()
-            .iter()
-            .zip(&self.operands)
-            .filter_map(move |(&slot, &op)| match (slot == wanted, op) {
-                (true, Operand::Reg(r)) => Some(r),
-                _ => None,
-            })
+        self.slot_indices(OperandSlot::IntSrc).map(Reg)
     }
 
     /// Vector registers written by this instruction.
     pub fn vec_dsts(&self) -> impl Iterator<Item = VReg> + '_ {
-        self.slot_vregs(OperandSlot::VecDst)
+        self.slot_indices(OperandSlot::VecDst).map(VReg)
     }
 
     /// Vector registers read by this instruction.
     pub fn vec_srcs(&self) -> impl Iterator<Item = VReg> + '_ {
-        self.slot_vregs(OperandSlot::VecSrc)
-    }
-
-    fn slot_vregs(&self, wanted: OperandSlot) -> impl Iterator<Item = VReg> + '_ {
-        self.opcode
-            .slots()
-            .iter()
-            .zip(&self.operands)
-            .filter_map(move |(&slot, &op)| match (slot == wanted, op) {
-                (true, Operand::VReg(v)) => Some(v),
-                _ => None,
-            })
+        self.slot_indices(OperandSlot::VecSrc).map(VReg)
     }
 
     /// The branch distance for branch instructions, if any.
     pub fn branch_target(&self) -> Option<u8> {
-        self.operands.iter().find_map(|op| match op {
-            Operand::Target(t) => Some(*t),
-            _ => None,
-        })
+        self.opcode.is_branch().then_some(self.target)
     }
 
     /// Renders the instruction using a custom format string.
@@ -221,9 +253,9 @@ impl Instruction {
     /// ```
     pub fn render_with(&self, format: &str) -> String {
         let mut out = format.to_owned();
-        for index in (0..self.operands.len()).rev() {
+        for index in (0..self.opcode.slots().len()).rev() {
             let placeholder = format!("op{}", index + 1);
-            let value = self.operands[index].to_string();
+            let value = self.operand(index).to_string();
             out = out.replace(&placeholder, &value);
         }
         out
@@ -234,22 +266,17 @@ impl fmt::Display for Instruction {
     /// Renders in canonical assembler syntax (what the assembler parses).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.opcode.mnemonic())?;
+        let op = |index| self.operand(index);
         match self.opcode {
             // Memory instructions use bracketed address syntax.
             Opcode::Ldr | Opcode::Str | Opcode::Vldr | Opcode::Vstr => {
-                write!(
-                    f,
-                    " {}, [{}, {}]",
-                    self.operands[0], self.operands[1], self.operands[2]
-                )
+                write!(f, " {}, [{}, {}]", op(0), op(1), op(2))
             }
-            Opcode::Ldp | Opcode::Stp => write!(
-                f,
-                " {}, {}, [{}, {}]",
-                self.operands[0], self.operands[1], self.operands[2], self.operands[3]
-            ),
+            Opcode::Ldp | Opcode::Stp => {
+                write!(f, " {}, {}, [{}, {}]", op(0), op(1), op(2), op(3))
+            }
             _ => {
-                for (i, op) in self.operands.iter().enumerate() {
+                for (i, op) in self.operands().enumerate() {
                     if i == 0 {
                         write!(f, " {op}")?;
                     } else {

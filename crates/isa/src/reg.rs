@@ -22,7 +22,7 @@ pub const NUM_VEC_REGS: u8 = 16;
 /// # }
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Reg(u8);
+pub struct Reg(pub(crate) u8);
 
 impl Reg {
     /// Creates an integer register from its index.
@@ -86,7 +86,7 @@ impl FromStr for Reg {
 /// # }
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct VReg(u8);
+pub struct VReg(pub(crate) u8);
 
 impl VReg {
     /// Creates a vector register from its index.

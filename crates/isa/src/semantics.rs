@@ -8,7 +8,7 @@
 //! Hamming-distance accounting collected here rather than by opcode class
 //! alone.
 
-use crate::instruction::{Instruction, Operand};
+use crate::instruction::Instruction;
 use crate::opcode::Opcode;
 use crate::reg::{Reg, VReg, NUM_INT_REGS, NUM_VEC_REGS};
 use crate::ExecError;
@@ -294,66 +294,7 @@ impl ArchState {
 /// templates to maximize bit switching.
 pub const CHECKERBOARD: u64 = 0xAAAA_AAAA_AAAA_AAAA;
 
-/// An instruction decoded once into its executable form: the opcode with
-/// register indices, immediates and the branch target held inline, so
-/// executing it needs no operand lookups and cannot fail.
-///
-/// [`Instruction::execute`] is decode + [`execute`](Self::execute); the
-/// simulator decodes each loop body once per run and executes the decoded
-/// form every iteration. Both paths share this one semantics body.
-///
-/// # Examples
-///
-/// ```
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// use gest_isa::{asm, ArchState, DecodedInstruction, Reg};
-/// let add = asm::parse_line("ADD x1, x2, x3")?.unwrap();
-/// let decoded = DecodedInstruction::new(&add);
-/// let mut state = ArchState::new(64);
-/// state.set_reg(Reg::new(2)?, 40);
-/// state.set_reg(Reg::new(3)?, 2);
-/// decoded.execute(&mut state);
-/// assert_eq!(state.reg(Reg::new(1)?), 42);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DecodedInstruction {
-    opcode: Opcode,
-    /// Register index of each operand position (integer or vector, as the
-    /// opcode's slot says); 0 for non-register positions.
-    regs: [u8; 4],
-    /// Immediate operands in signature order.
-    imms: [i64; 2],
-    /// Forward branch distance (branches only).
-    target: u8,
-}
-
-impl DecodedInstruction {
-    /// Decodes a validated instruction. [`Instruction::new`] guarantees the
-    /// operand kinds match the opcode, so decoding cannot fail.
-    pub fn new(instr: &Instruction) -> DecodedInstruction {
-        let mut decoded = DecodedInstruction {
-            opcode: instr.opcode(),
-            regs: [0; 4],
-            imms: [0; 2],
-            target: 0,
-        };
-        let mut imm = 0;
-        for (i, operand) in instr.operands().iter().enumerate() {
-            match *operand {
-                Operand::Reg(r) => decoded.regs[i] = r.index(),
-                Operand::VReg(v) => decoded.regs[i] = v.index(),
-                Operand::Imm(value) => {
-                    decoded.imms[imm] = value;
-                    imm += 1;
-                }
-                Operand::Target(t) => decoded.target = t,
-            }
-        }
-        decoded
-    }
-
+impl Instruction {
     /// The integer register at operand position `i`.
     fn x(&self, state: &ArchState, i: usize) -> u64 {
         state.xregs[self.regs[i] as usize]
@@ -454,10 +395,27 @@ impl DecodedInstruction {
         (base, state.mem_addr(base, self.imms[0], width))
     }
 
-    /// Executes against `state`. Infallible: operand shapes were checked
-    /// when the instruction was built.
+    /// Executes this instruction against `state` and returns what it did.
+    /// Infallible: operand shapes were checked when the instruction was
+    /// built, and the operands are already inline, so the simulator calls
+    /// this directly on every dynamic instruction.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// use gest_isa::{asm, ArchState, Reg};
+    /// let add = asm::parse_line("ADD x1, x2, x3")?.unwrap();
+    /// let mut state = ArchState::new(64);
+    /// state.set_reg(Reg::new(2)?, 40);
+    /// state.set_reg(Reg::new(3)?, 2);
+    /// add.apply(&mut state);
+    /// assert_eq!(state.reg(Reg::new(1)?), 42);
+    /// # Ok(())
+    /// # }
+    /// ```
     #[inline]
-    pub fn execute(&self, state: &mut ArchState) -> Effect {
+    pub fn apply(&self, state: &mut ArchState) -> Effect {
         match self.opcode {
             Opcode::Add => self.int3(state, u64::wrapping_add),
             Opcode::Sub => self.int3(state, u64::wrapping_sub),
@@ -714,16 +672,8 @@ impl DecodedInstruction {
             Opcode::Nop => Effect::default(),
         }
     }
-}
 
-fn hamming(a: u64, b: u64) -> u32 {
-    (a ^ b).count_ones()
-}
-
-impl Instruction {
-    /// Executes this instruction against `state`: decode, then
-    /// [`DecodedInstruction::execute`]. Callers that run an instruction
-    /// many times should decode it once instead.
+    /// [`apply`](Self::apply) for callers that propagate [`ExecError`].
     ///
     /// # Errors
     ///
@@ -744,8 +694,12 @@ impl Instruction {
     /// # }
     /// ```
     pub fn execute(&self, state: &mut ArchState) -> Result<Effect, ExecError> {
-        Ok(DecodedInstruction::new(self).execute(state))
+        Ok(self.apply(state))
     }
+}
+
+fn hamming(a: u64, b: u64) -> u32 {
+    (a ^ b).count_ones()
 }
 
 /// Clamps non-finite floating-point results back into a benign range.

@@ -160,54 +160,28 @@ impl Template {
     /// register `x10`, and vector registers seeded with dense-mantissa
     /// floating-point values in both lanes.
     pub fn default_stress() -> Template {
-        let mut init = Vec::new();
+        let movi = |reg, value: u64| {
+            Instruction::from_operands(
+                Opcode::Movi,
+                &[Operand::Reg(Reg(reg)), Operand::Imm(value as i64)],
+            )
+            .expect("MOVI signature")
+        };
         // x10 is the conventional memory base register in the shipped
         // configurations; keep it zero so address = offset (wrapped).
-        for i in 0..8u8 {
-            let pattern = if i % 2 == 0 {
-                CHECKERBOARD
-            } else {
-                !CHECKERBOARD
-            };
-            init.push(
-                Instruction::new(
-                    Opcode::Movi,
-                    vec![
-                        Operand::Reg(Reg::new(i).expect("index < 16")),
-                        Operand::Imm(pattern as i64),
-                    ],
-                )
-                .expect("MOVI signature"),
-            );
-        }
-        init.push(
-            Instruction::new(
-                Opcode::Movi,
-                vec![
-                    Operand::Reg(Reg::new(10).expect("index < 16")),
-                    Operand::Imm(0),
-                ],
-            )
-            .expect("MOVI signature"),
-        );
+        let patterns = [CHECKERBOARD, !CHECKERBOARD];
+        let mut init: Vec<Instruction> = (0..8u8)
+            .map(|i| movi(i, patterns[(i % 2) as usize]))
+            .collect();
+        init.push(movi(10, 0));
         // Dense-mantissa values close to 1 keep FP pipelines busy without
         // overflowing, with alternating signs for extra sign-bit churn.
         let fp_values = [1.000_000_123_456_789f64, -0.999_999_876_543_21f64];
-        for i in 0..8u8 {
-            let lane0 = fp_values[(i % 2) as usize];
-            let lane1 = fp_values[((i + 1) % 2) as usize];
-            init.push(
-                Instruction::new(
-                    Opcode::Vmovi,
-                    vec![
-                        Operand::VReg(VReg::new(i).expect("index < 16")),
-                        Operand::Imm(lane0.to_bits() as i64),
-                        Operand::Imm(lane1.to_bits() as i64),
-                    ],
-                )
-                .expect("VMOVI signature"),
-            );
-        }
+        init.extend((0..8u8).map(|i| {
+            let lane = |j: u8| Operand::Imm(fp_values[((i + j) % 2) as usize].to_bits() as i64);
+            Instruction::from_operands(Opcode::Vmovi, &[Operand::VReg(VReg(i)), lane(0), lane(1)])
+                .expect("VMOVI signature")
+        }));
         Template {
             mem_init: MemInit::Checkerboard,
             init,
@@ -220,9 +194,9 @@ impl Template {
     /// runnable [`Program`].
     pub fn materialize(&self, name: impl Into<String>, body: Vec<Instruction>) -> Program {
         let mut full_body = Vec::with_capacity(self.pre.len() + body.len() + self.post.len());
-        full_body.extend(self.pre.iter().cloned());
+        full_body.extend_from_slice(&self.pre);
         full_body.extend(body);
-        full_body.extend(self.post.iter().cloned());
+        full_body.extend_from_slice(&self.post);
         Program {
             name: name.into(),
             init: self.init.clone(),

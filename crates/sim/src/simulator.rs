@@ -9,7 +9,7 @@ use crate::power::EnergyModel;
 use crate::predictor::BranchPredictor;
 use crate::result::{RunConfig, RunResult, SimError};
 use crate::thermal::ThermalSchedule;
-use gest_isa::{ArchState, DecodedInstruction, Effect, Flow, InstrClass, Program};
+use gest_isa::{ArchState, Effect, Flow, InstrClass, Instruction, Program};
 use std::collections::VecDeque;
 
 /// Per-cycle waveforms captured by [`Simulator::run_traced`] — the
@@ -132,17 +132,17 @@ impl SteadySnapshot {
     }
 }
 
-/// One static body instruction, decoded once per run: its executable form,
-/// its scheduling metadata on this machine, and its index in
-/// [`InstrClass::ALL`].
+/// One static body instruction, prepared once per run: the instruction
+/// itself (operands inline, executed directly), its scheduling metadata on
+/// this machine, and its index in [`InstrClass::ALL`].
 #[derive(Debug, Clone, Copy)]
 struct BodyOp {
-    exec: DecodedInstruction,
+    instr: Instruction,
     timing: Decoded,
     class_idx: usize,
 }
 
-/// One lane's reusable buffers: the decoded body, the per-cycle energy
+/// One lane's reusable buffers: the prepared body ops, the per-cycle energy
 /// waveform, the steady-state detector's rings and snapshots, and pooled
 /// instruments recycled across runs. Every buffer here is mutable
 /// per-candidate state — lanes of a batch each own one, so nothing a lane
@@ -585,14 +585,14 @@ impl<'a> LaneRun<'a> {
         let pipeline = Pipeline::new(machine);
         let predictor = BranchPredictor::new(program.body.len());
 
-        // Decode the static body once: the executable form, the timing
-        // metadata and the class index, so the per-iteration loop does no
-        // operand lookups, error handling or class scans.
+        // Pair each static body instruction with its timing metadata and
+        // class index once, so the per-iteration loop does no error
+        // handling or class scans.
         scratch.ops.clear();
         scratch.ops.extend(program.body.iter().map(|instr| {
             let class = instr.opcode().class();
             BodyOp {
-                exec: DecodedInstruction::new(instr),
+                instr: *instr,
                 timing: Pipeline::decode(machine, instr),
                 class_idx: InstrClass::ALL
                     .iter()
@@ -660,7 +660,7 @@ impl<'a> LaneRun<'a> {
         } = &mut *self.scratch;
         let mut pc = 0usize;
         while let Some(op) = ops.get(pc) {
-            let effect = op.exec.execute(&mut self.state);
+            let effect = op.instr.apply(&mut self.state);
 
             // Branch prediction.
             let (branch, correct) = if op.timing.is_branch {

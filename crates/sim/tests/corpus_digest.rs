@@ -213,7 +213,7 @@ fn program(rng: &mut Rng, machine: &str, index: usize) -> Program {
     let repetitive = index % 2 == 1;
     while body.len() < len {
         if repetitive {
-            body.push(menu[rng.below(menu.len() as u64) as usize].clone());
+            body.push(menu[rng.below(menu.len() as u64) as usize]);
         } else {
             let opcode = random_opcode(rng);
             body.push(instruction(rng, opcode));
