@@ -157,8 +157,9 @@ impl Checkpoint {
                 random_genes: dec.u64()?,
             },
         };
-        let history_len = dec.varint()?;
-        let mut history = Vec::with_capacity(history_len.min(1 << 20) as usize);
+        // A summary is a u32 and three 8-byte fields.
+        let history_len = dec.count(28, "checkpoint history")?;
+        let mut history = Vec::with_capacity(history_len);
         for _ in 0..history_len {
             history.push(GenerationSummary {
                 generation: dec.u32()?,

@@ -470,8 +470,8 @@ impl EvalCache {
                     let mut rec = Decoder::new(record);
                     let hi = rec.u64()?;
                     let lo = rec.u64()?;
-                    let n = rec.varint()?;
-                    let mut measurements = Vec::with_capacity(n.min(1 << 10) as usize);
+                    let n = rec.count(8, "measurements")?;
+                    let mut measurements = Vec::with_capacity(n);
                     for _ in 0..n {
                         measurements.push(rec.f64()?);
                     }

@@ -102,7 +102,7 @@ static SIM_EXTRAPOLATED_ITERATIONS: AtomicU64 = AtomicU64::new(0);
 /// Process-wide counters of the simulator's steady-state fast path across
 /// every sim-backed measurement in this process (see
 /// [`gest_sim::BatchScratch`]). Monotonic; sample before and after a run
-/// and difference to scope them, as `gest bench` does.
+/// and difference to scope them, as the `gest-benchmark` harness does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SimFastPathStats {
     /// Simulator runs performed.

@@ -144,13 +144,14 @@ impl SavedIndividual {
         let parent0 = dec.u64()?;
         let parent1 = dec.u64()?;
         let fitness = dec.f64()?;
-        let n_measurements = dec.varint()?;
-        let mut measurements = Vec::with_capacity(n_measurements.min(1 << 10) as usize);
+        let n_measurements = dec.count(8, "measurements")?;
+        let mut measurements = Vec::with_capacity(n_measurements);
         for _ in 0..n_measurements {
             measurements.push(dec.f64()?);
         }
-        let n_genes = dec.varint()?;
-        let mut genes = Vec::with_capacity(n_genes.min(1 << 12) as usize);
+        // A gene is at least its definition index and instruction count.
+        let n_genes = dec.count(2, "genes")?;
+        let mut genes = Vec::with_capacity(n_genes);
         for _ in 0..n_genes {
             let def_index = dec.varint()? as usize;
             let instrs = dec.instructions()?;
@@ -227,8 +228,9 @@ impl SavedPopulation {
             return Err(CodecError::Invalid("not a GeST population file".into()));
         }
         let generation = dec.u32()?;
-        let count = dec.varint()?;
-        let mut individuals = Vec::with_capacity(count.min(1 << 16) as usize);
+        // An individual is at least four 8-byte fields and two counts.
+        let count = dec.count(34, "individuals")?;
+        let mut individuals = Vec::with_capacity(count);
         for _ in 0..count {
             individuals.push(SavedIndividual::decode_from(&mut dec)?);
         }

@@ -292,12 +292,12 @@ impl GestRunBuilder {
     /// Shares a pre-built evaluation cache with this run instead of
     /// starting cold — the way to amortize evaluation work across several
     /// runs of the same configuration (repeated continuation segments,
-    /// re-running a converged search, `gest bench`). The handle is used
-    /// only when its configuration fingerprint matches this run's and the
-    /// cache is otherwise enabled; a mismatched or superfluous handle is
-    /// ignored and the run starts cold as usual. Content-addressing makes
-    /// the sharing safe: a hit is bit-identical to a fresh evaluation by
-    /// construction.
+    /// re-running a converged search, the benchmark harness's `warm`
+    /// replay). The handle is used only when its configuration
+    /// fingerprint matches this run's and the cache is otherwise enabled;
+    /// a mismatched or superfluous handle is ignored and the run starts
+    /// cold as usual. Content-addressing makes the sharing safe: a hit is
+    /// bit-identical to a fresh evaluation by construction.
     pub fn eval_cache_handle(mut self, cache: Arc<EvalCache>) -> Self {
         self.eval_cache_handle = Some(cache);
         self

@@ -361,8 +361,8 @@ fn encode_outcome(enc: &mut Encoder, outcome: &Result<Vec<f64>, String>) {
 fn decode_outcome(dec: &mut Decoder<'_>) -> Result<Result<Vec<f64>, String>, DistError> {
     match dec.u8()? {
         0 => {
-            let count = dec.varint()? as usize;
-            let mut measurements = Vec::with_capacity(count.min(1 << 16));
+            let count = dec.count(8, "measurements")?;
+            let mut measurements = Vec::with_capacity(count);
             for _ in 0..count {
                 measurements.push(dec.f64()?);
             }
@@ -376,8 +376,9 @@ fn decode_outcome(dec: &mut Decoder<'_>) -> Result<Result<Vec<f64>, String>, Dis
 }
 
 fn decode_genes(dec: &mut Decoder<'_>) -> Result<Vec<Gene>, DistError> {
-    let count = dec.varint()? as usize;
-    let mut genes = Vec::with_capacity(count.min(1 << 16));
+    // A gene is at least its definition index and instruction count.
+    let count = dec.count(2, "genes")?;
+    let mut genes = Vec::with_capacity(count);
     for _ in 0..count {
         let def_index = dec.varint()? as usize;
         let instrs = dec.instructions()?;

@@ -4,9 +4,14 @@
 //!
 //! ```text
 //! gest run <config.xml> [--trace[=PATH]] [--progress] [--checkpoint-every=N]
-//!          [--no-eval-cache] [--dir=PATH]
+//!          [--no-eval-cache] [--dir=PATH] [--lane-width=N]
+//!          [--surrogate=off|screen] [--surrogate-topk=K] [--surrogate-explore=Q]
+//!          [--workers=ADDR,ADDR] [--local-fallback[=N]] [--status-addr=HOST:PORT]
 //!                                  run a GA search from a main configuration
 //! gest resume <output_dir> [--trace[=PATH]] [--progress] [--no-eval-cache]
+//!          [--lane-width=N] [--surrogate=off|screen] [--surrogate-topk=K]
+//!          [--surrogate-explore=Q] [--workers=ADDR,ADDR] [--local-fallback[=N]]
+//!          [--status-addr=HOST:PORT]
 //!                                  continue a checkpointed run after a crash
 //! gest serve --listen=ADDR [--workers=A,B] [--max-active=N] [--state-dir=PATH]
 //!                                  multi-tenant search service: POST configs to
@@ -20,10 +25,6 @@
 //!                                  operator mix, cache, convergence vs wall-clock
 //! gest top <host:port>             live dashboard over a run's --status-addr
 //!                                  endpoint (/status polled every 2 s)
-//! gest bench [flags]               time candidate evaluation with and without
-//!                                  the fast path; writes BENCH_eval.json
-//!                                  (--surrogate: screened vs exact evaluation,
-//!                                  writes BENCH_surrogate.json)
 //! gest stats <output_dir>          per-generation report from saved populations
 //! gest show <population.bin> [n]   print individuals from a population file
 //! gest machines                    list the machine presets
@@ -32,11 +33,10 @@
 
 use gest::chaos::{run_serve_soak, run_soak, ServeSoakOptions, SoakOptions};
 use gest::core::{
-    stats, EvalBackend, GestConfig, GestError, GestRun, LocalBackend, PoolGenetics, Registry,
-    RunIdAllocator, SavedPopulation, StepOutcome, SurrogateMode, SurrogateOptions,
+    stats, EvalBackend, GestConfig, GestError, GestRun, LocalBackend, Registry, RunIdAllocator,
+    SavedPopulation, StepOutcome, SurrogateMode, SurrogateOptions,
 };
 use gest::dist::{hostname, Coordinator, CoordinatorOptions, Worker};
-use gest::ga::GaEngine;
 use gest::isa::InstrClass;
 use gest::obs::top::{run_top, TopOptions};
 use gest::obs::{ObsSink, StatusServer};
@@ -62,7 +62,6 @@ fn main() -> ExitCode {
             args.get(1).map(String::as_str),
             args.get(2).map(String::as_str),
         ),
-        Some("bench") => cmd_bench(&args[1..]),
         Some("top") => cmd_top(&args[1..]),
         Some("worker") => cmd_worker(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
@@ -155,19 +154,6 @@ fn print_usage() {
          keep answering, faulted runs must land in\n                                   \
          documented states, clean runs byte-identical\n  \
          gest report <run_trace.jsonl>    summarize a trace written by run --trace\n  \
-         gest bench [flags]               compare fast-path vs baseline evaluation speed\n    \
-         --rounds=N --population=N --generations=N --machine=NAME\n    \
-         --setup-generations=N          untimed convergence search seeding the timed phase\n    \
-         --out=PATH                     where to write the JSON (default BENCH_eval.json)\n    \
-         --require-cache-hits           fail when the cache hit rate is zero\n    \
-         --cold                         also time cache-disabled novel candidates,\n                                   \
-         batched vs one at a time (JSON \"cold\" section)\n    \
-         --lane-width=N                 lanes per batch in the cold phase (default 4)\n    \
-         --surrogate                    screened vs exact evaluation on a fresh\n                                   \
-         novel-heavy search (default out:\n                                   \
-         BENCH_surrogate.json, \"surrogate\" section)\n    \
-         --surrogate-topk=K --surrogate-explore=Q\n                                   \
-         screen knobs for the --surrogate phase\n  \
          gest stats <output_dir>          per-generation report from saved populations\n  \
          gest show <population.bin> [n]   print the n fittest individuals (default 1)\n  \
          gest machines                    list the machine presets\n  \
@@ -1291,712 +1277,6 @@ fn cmd_show(path: Option<&str>, count: Option<&str>) -> Result<(), GestError> {
             println!("{gene}");
         }
     }
-    Ok(())
-}
-
-/// Flags for `gest bench`.
-struct BenchFlags {
-    rounds: u32,
-    population: usize,
-    individual: usize,
-    generations: u32,
-    setup_generations: u32,
-    machine: String,
-    out: Option<PathBuf>,
-    require_cache_hits: bool,
-    cold: bool,
-    lane_width: usize,
-    surrogate: bool,
-    surrogate_topk: usize,
-    surrogate_explore: usize,
-}
-
-impl Default for BenchFlags {
-    fn default() -> BenchFlags {
-        BenchFlags {
-            rounds: 8,
-            population: 20,
-            individual: 25,
-            generations: 8,
-            setup_generations: 40,
-            machine: "cortex-a15".into(),
-            out: None,
-            require_cache_hits: false,
-            cold: false,
-            lane_width: 4,
-            surrogate: false,
-            surrogate_topk: 0,
-            surrogate_explore: 2,
-        }
-    }
-}
-
-impl BenchFlags {
-    /// Where the JSON lands: `--out` if given, else a default named for
-    /// the bench variant so `bench` and `bench --surrogate` do not
-    /// clobber each other's committed baselines.
-    fn out_path(&self) -> PathBuf {
-        self.out.clone().unwrap_or_else(|| {
-            PathBuf::from(if self.surrogate {
-                "BENCH_surrogate.json"
-            } else {
-                "BENCH_eval.json"
-            })
-        })
-    }
-}
-
-fn parse_bench_flags(args: &[String]) -> Result<BenchFlags, GestError> {
-    fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, GestError> {
-        value
-            .parse()
-            .map_err(|_| GestError::Config(format!("bad value {value:?} for {flag}")))
-    }
-    let mut flags = BenchFlags::default();
-    for arg in args {
-        if let Some(n) = arg.strip_prefix("--rounds=") {
-            flags.rounds = number("--rounds", n)?;
-        } else if let Some(n) = arg.strip_prefix("--population=") {
-            flags.population = number("--population", n)?;
-        } else if let Some(n) = arg.strip_prefix("--individual=") {
-            flags.individual = number("--individual", n)?;
-        } else if let Some(n) = arg.strip_prefix("--generations=") {
-            flags.generations = number("--generations", n)?;
-        } else if let Some(n) = arg.strip_prefix("--setup-generations=") {
-            flags.setup_generations = number("--setup-generations", n)?;
-        } else if let Some(name) = arg.strip_prefix("--machine=") {
-            flags.machine = name.to_string();
-        } else if let Some(path) = arg.strip_prefix("--out=") {
-            flags.out = Some(PathBuf::from(path));
-        } else if arg == "--require-cache-hits" {
-            flags.require_cache_hits = true;
-        } else if arg == "--cold" {
-            flags.cold = true;
-        } else if arg == "--surrogate" {
-            flags.surrogate = true;
-        } else if let Some(n) = arg.strip_prefix("--surrogate-topk=") {
-            flags.surrogate_topk = number("--surrogate-topk", n)?;
-        } else if let Some(n) = arg.strip_prefix("--surrogate-explore=") {
-            flags.surrogate_explore = number("--surrogate-explore", n)?;
-        } else if let Some(n) = arg.strip_prefix("--lane-width=") {
-            flags.lane_width = number("--lane-width", n)?;
-        } else {
-            return Err(GestError::Config(format!("unknown bench flag {arg:?}")));
-        }
-    }
-    if flags.rounds == 0 || flags.population == 0 || flags.generations == 0 {
-        return Err(GestError::Config(
-            "bench needs at least one round, candidate, and generation".into(),
-        ));
-    }
-    if flags.lane_width < 2 {
-        return Err(GestError::Config(
-            "--lane-width must be at least 2 so the batched arm differs from width 1".into(),
-        ));
-    }
-    if flags.surrogate && (flags.cold || flags.require_cache_hits) {
-        return Err(GestError::Config(
-            "--surrogate is its own bench phase; run --cold/--require-cache-hits separately".into(),
-        ));
-    }
-    if (flags.surrogate_topk != 0 || flags.surrogate_explore != 2) && !flags.surrogate {
-        return Err(GestError::Config(
-            "--surrogate-topk/--surrogate-explore only apply together with --surrogate".into(),
-        ));
-    }
-    Ok(flags)
-}
-
-/// Pretty-prints a JSON value with two-space indentation —
-/// [`Value::write`] is compact, and the bench files are committed and
-/// diffed by humans.
-fn write_json_pretty(value: &Value, depth: usize, out: &mut String) {
-    match value {
-        Value::Obj(entries) if !entries.is_empty() => {
-            out.push_str("{\n");
-            for (i, (key, child)) in entries.iter().enumerate() {
-                for _ in 0..=depth {
-                    out.push_str("  ");
-                }
-                Value::Str(key.clone()).write(out);
-                out.push_str(": ");
-                write_json_pretty(child, depth + 1, out);
-                if i + 1 < entries.len() {
-                    out.push(',');
-                }
-                out.push('\n');
-            }
-            for _ in 0..depth {
-                out.push_str("  ");
-            }
-            out.push('}');
-        }
-        Value::Arr(items) if !items.is_empty() => {
-            out.push_str("[\n");
-            for (i, item) in items.iter().enumerate() {
-                for _ in 0..=depth {
-                    out.push_str("  ");
-                }
-                write_json_pretty(item, depth + 1, out);
-                if i + 1 < items.len() {
-                    out.push(',');
-                }
-                out.push('\n');
-            }
-            for _ in 0..depth {
-                out.push_str("  ");
-            }
-            out.push(']');
-        }
-        other => other.write(out),
-    }
-}
-
-/// Merge-updates a bench JSON file: each top-level key in `fresh`
-/// replaces its previous value, every other section is preserved — so
-/// the elite-heavy, `--cold`, and `--surrogate` writers can share one
-/// file without clobbering each other's results. An unreadable or
-/// non-object existing file is replaced wholesale rather than failing
-/// the bench.
-fn merge_bench_file(path: &Path, fresh: Vec<(String, Value)>) -> Result<(), GestError> {
-    let mut entries = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| Value::parse(text.trim()).ok())
-        .and_then(|existing| match existing {
-            Value::Obj(entries) => Some(entries),
-            _ => None,
-        })
-        .unwrap_or_default();
-    for (key, value) in fresh {
-        match entries.iter_mut().find(|(k, _)| *k == key) {
-            Some(slot) => slot.1 = value,
-            None => entries.push((key, value)),
-        }
-    }
-    let mut text = String::new();
-    write_json_pretty(&Value::Obj(entries), 0, &mut text);
-    text.push('\n');
-    std::fs::write(path, text)?;
-    Ok(())
-}
-
-/// [`Value::Num`] rounded to six decimals: enough for seconds and rates,
-/// short enough that committed bench JSON diffs stay readable.
-fn json_num(value: f64) -> Value {
-    Value::Num((value * 1e6).round() / 1e6)
-}
-
-/// An object entry, saving the `.to_string()` noise at call sites.
-fn json_entry(key: &str, value: Value) -> (String, Value) {
-    (key.to_string(), value)
-}
-
-/// What the `--cold` phase measured: novel-candidate throughput one
-/// candidate at a time versus in lockstep lanes. `candidates` counts one
-/// round's workload; each arm's seconds are its fastest round.
-struct ColdStats {
-    candidates: u64,
-    lane_width: usize,
-    width1_secs: f64,
-    batched_secs: f64,
-    identical: bool,
-}
-
-/// Times the batched simulator core on a *cold* workload: every candidate
-/// is novel (bred once by the GA's seeding path), so neither the
-/// evaluation cache nor steady-state reuse applies — this isolates the
-/// lockstep-lane win on first-sight candidates, the regime early
-/// generations of a search live in. The candidates are materialized once
-/// untimed (program assembly is identical work for both arms), then
-/// measured one at a time and in lockstep lanes; the two arms must agree
-/// bit for bit.
-fn run_cold_bench(flags: &BenchFlags) -> Result<ColdStats, GestError> {
-    use std::time::Instant;
-
-    let config = GestConfig::builder(&flags.machine)
-        .measurement("power")
-        .population_size(flags.population)
-        .individual_size(flags.individual)
-        .generations(flags.generations)
-        .seed(42)
-        .build()?;
-    let measurement = Registry::default().build_measurement(
-        "power",
-        config.machine.clone(),
-        config.run_config,
-    )?;
-
-    let mut ga = config.ga;
-    ga.population_size = flags.population * flags.generations as usize;
-    let mut engine = GaEngine::new(ga, PoolGenetics::new(Arc::clone(&config.pool)), 42);
-    let programs: Vec<gest::isa::Program> = engine
-        .seed()
-        .iter()
-        .map(|candidate| {
-            let body = gest::isa::InstructionPool::flatten(&candidate.genes);
-            config
-                .template
-                .materialize(format!("cold_{}", candidate.id), body)
-        })
-        .collect();
-
-    // One untimed pass warms each path's thread-local simulator scratch.
-    let _ = measurement.measure_detailed(&programs[0]);
-    let _ = measurement.measure_batch_detailed(&programs[..flags.lane_width.min(programs.len())]);
-
-    // Each arm's time is the *fastest* round: both run identical
-    // deterministic work every round, so the minimum is the least
-    // noise-contaminated estimate of its true cost.
-    let mut width1_secs = f64::INFINITY;
-    let mut batched_secs = f64::INFINITY;
-    let mut identical = true;
-    for _ in 0..flags.rounds {
-        let started = Instant::now();
-        let singles: Vec<_> = programs
-            .iter()
-            .map(|program| measurement.measure_detailed(program))
-            .collect();
-        width1_secs = width1_secs.min(started.elapsed().as_secs_f64());
-
-        let started = Instant::now();
-        let mut batched = Vec::with_capacity(programs.len());
-        for chunk in programs.chunks(flags.lane_width) {
-            batched.extend(measurement.measure_batch_detailed(chunk));
-        }
-        batched_secs = batched_secs.min(started.elapsed().as_secs_f64());
-
-        for (single, lane) in singles.iter().zip(&batched) {
-            match (single, lane) {
-                (Ok((values, detail)), Ok((lane_values, lane_detail))) => {
-                    identical &= values.len() == lane_values.len()
-                        && values
-                            .iter()
-                            .zip(lane_values)
-                            .all(|(a, b)| a.to_bits() == b.to_bits())
-                        && detail == lane_detail;
-                }
-                _ => identical = false,
-            }
-        }
-    }
-
-    Ok(ColdStats {
-        candidates: programs.len() as u64,
-        lane_width: flags.lane_width,
-        width1_secs,
-        batched_secs,
-        identical,
-    })
-}
-
-/// Benchmarks candidate evaluation on the default power-virus search:
-/// the fast path (evaluation cache + steady-state extrapolation) against
-/// a baseline with both disabled, verifying the two produce bit-identical
-/// winners before reporting the speedup.
-///
-/// The timed phase measures an *elite-heavy* workload: an untimed setup
-/// search first converges the default power-virus population, and the
-/// timed runs continue from its final saved population — the regime a
-/// long search spends most of its wall-clock in, where repeated elites
-/// exercise the evaluation cache and converged individuals exercise the
-/// steady-state fast path.
-fn cmd_bench(args: &[String]) -> Result<(), GestError> {
-    use std::time::Instant;
-
-    let flags = parse_bench_flags(args)?;
-    let out = flags.out_path();
-    if flags.surrogate {
-        return run_surrogate_bench(&flags, &out);
-    }
-    let config = |steady: bool, seed_pop: Option<&Path>| -> Result<GestConfig, GestError> {
-        let mut config = GestConfig::builder(&flags.machine)
-            .measurement("power")
-            .population_size(flags.population)
-            .individual_size(flags.individual)
-            .generations(flags.generations)
-            .seed(42)
-            .build()?;
-        config.run_config.steady_detect = steady;
-        if let Some(path) = seed_pop {
-            config.seed_population = Some(path.to_path_buf());
-        }
-        Ok(config)
-    };
-    let candidates = flags.population as u64 * u64::from(flags.generations);
-    eprintln!(
-        "bench: machine {}, power measurement, {} candidates ({} x {}), {} round{}",
-        flags.machine,
-        candidates,
-        flags.population,
-        flags.generations,
-        flags.rounds,
-        if flags.rounds == 1 { "" } else { "s" }
-    );
-
-    // Untimed setup: converge the search and save its populations so the
-    // timed phase can continue from the final one.
-    let setup_dir = std::env::temp_dir().join(format!("gest-bench-setup-{}", std::process::id()));
-    std::fs::create_dir_all(&setup_dir)?;
-    let seed_file = {
-        let mut cfg = config(true, None)?;
-        cfg.generations = flags.setup_generations;
-        cfg.output_dir = Some(setup_dir.clone());
-        let mut run = GestRun::builder().config(cfg).build()?;
-        while !run.is_complete() {
-            run.step()?;
-        }
-        run.finish();
-        gest::core::OutputWriter::population_files(&setup_dir)?
-            .last()
-            .cloned()
-            .ok_or_else(|| GestError::Config("bench setup saved no population files".into()))?
-    };
-    eprintln!(
-        "bench: setup converged over {} generations, continuing from {}",
-        flags.setup_generations,
-        seed_file.display()
-    );
-
-    let mut fast_secs = 0.0;
-    let mut base_secs = 0.0;
-    let mut fast_best: Option<(f64, Vec<f64>)> = None;
-    let steady_before = gest::core::sim_fast_path_stats();
-    // All fast rounds share one warm cache — each round is the same
-    // deterministic continuation segment, so after the first round pays
-    // the cold cost the rest amortize it through content-addressed reuse
-    // (the regime of re-running or resuming a converged search).
-    let shared_cache = {
-        let cfg = config(true, Some(&seed_file))?;
-        let fingerprint = gest::core::config_fingerprint(&cfg.to_xml().to_string());
-        Arc::new(gest::core::EvalCache::new(
-            cfg.eval_cache_bytes,
-            fingerprint,
-        ))
-    };
-    for _ in 0..flags.rounds {
-        let mut run = GestRun::builder()
-            .config(config(true, Some(&seed_file))?)
-            .eval_cache_handle(Arc::clone(&shared_cache))
-            .build()?;
-        let started = Instant::now();
-        while !run.is_complete() {
-            run.step()?;
-        }
-        fast_secs += started.elapsed().as_secs_f64();
-        let best = run.best().expect("a generation completed").clone();
-        fast_best = Some((best.fitness, best.measurements));
-        run.finish();
-    }
-    let steady_after = gest::core::sim_fast_path_stats();
-    let cache_stats = shared_cache.stats();
-    let (cache_hits, cache_misses) = (cache_stats.hits, cache_stats.misses);
-
-    let mut base_best: Option<(f64, Vec<f64>)> = None;
-    for _ in 0..flags.rounds {
-        let mut run = GestRun::builder()
-            .config(config(false, Some(&seed_file))?)
-            .eval_cache(false)
-            .build()?;
-        let started = Instant::now();
-        while !run.is_complete() {
-            run.step()?;
-        }
-        base_secs += started.elapsed().as_secs_f64();
-        let best = run.best().expect("a generation completed").clone();
-        base_best = Some((best.fitness, best.measurements));
-        run.finish();
-    }
-
-    let _ = std::fs::remove_dir_all(&setup_dir);
-
-    let cold = if flags.cold {
-        eprintln!(
-            "bench: cold phase, {} novel candidates per round at lane width {}",
-            candidates, flags.lane_width
-        );
-        Some(run_cold_bench(&flags)?)
-    } else {
-        None
-    };
-
-    let fast_best = fast_best.expect("at least one round");
-    let base_best = base_best.expect("at least one round");
-    let identical = fast_best.0.to_bits() == base_best.0.to_bits()
-        && fast_best.1.len() == base_best.1.len()
-        && fast_best
-            .1
-            .iter()
-            .zip(&base_best.1)
-            .all(|(a, b)| a.to_bits() == b.to_bits());
-
-    let total = candidates * u64::from(flags.rounds);
-    let fast_rate = total as f64 / fast_secs;
-    let base_rate = total as f64 / base_secs;
-    let hit_rate = if cache_hits + cache_misses > 0 {
-        cache_hits as f64 / (cache_hits + cache_misses) as f64
-    } else {
-        0.0
-    };
-    let steady_runs = steady_after.runs - steady_before.runs;
-    let steady_hits = steady_after.steady_hits - steady_before.steady_hits;
-    let trigger_rate = if steady_runs > 0 {
-        steady_hits as f64 / steady_runs as f64
-    } else {
-        0.0
-    };
-    let extrapolated = steady_after.extrapolated_iterations - steady_before.extrapolated_iterations;
-
-    // The machine name, host, and evaluation parallelism make trajectory
-    // entries comparable across PRs and machines: a speedup means little
-    // without knowing how many eval threads produced it.
-    let eval_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut fresh = vec![
-        json_entry("machine", Value::Str(flags.machine.clone())),
-        json_entry("host", Value::Str(hostname())),
-        json_entry("eval_threads", json_num(eval_threads as f64)),
-        json_entry("measurement", Value::Str("power".into())),
-        json_entry("population", json_num(flags.population as f64)),
-        json_entry("individual_size", json_num(flags.individual as f64)),
-        json_entry("generations", json_num(f64::from(flags.generations))),
-        json_entry(
-            "setup_generations",
-            json_num(f64::from(flags.setup_generations)),
-        ),
-        json_entry("rounds", json_num(f64::from(flags.rounds))),
-        json_entry("candidates", json_num(total as f64)),
-        json_entry(
-            "fast",
-            Value::Obj(vec![
-                json_entry("seconds", json_num(fast_secs)),
-                json_entry("candidates_per_sec", json_num(fast_rate)),
-                json_entry("cache_hits", json_num(cache_hits as f64)),
-                json_entry("cache_misses", json_num(cache_misses as f64)),
-                json_entry("cache_hit_rate", json_num(hit_rate)),
-                json_entry("steady_runs", json_num(steady_runs as f64)),
-                json_entry("steady_hits", json_num(steady_hits as f64)),
-                json_entry("steady_trigger_rate", json_num(trigger_rate)),
-                json_entry("extrapolated_iterations", json_num(extrapolated as f64)),
-            ]),
-        ),
-        json_entry(
-            "baseline",
-            Value::Obj(vec![
-                json_entry("seconds", json_num(base_secs)),
-                json_entry("candidates_per_sec", json_num(base_rate)),
-            ]),
-        ),
-    ];
-    if let Some(cold) = &cold {
-        fresh.push(json_entry(
-            "cold",
-            Value::Obj(vec![
-                json_entry("candidates", json_num(cold.candidates as f64)),
-                json_entry("lane_width", json_num(cold.lane_width as f64)),
-                json_entry("width1_seconds", json_num(cold.width1_secs)),
-                json_entry(
-                    "width1_candidates_per_sec",
-                    json_num(cold.candidates as f64 / cold.width1_secs),
-                ),
-                json_entry("batched_seconds", json_num(cold.batched_secs)),
-                json_entry(
-                    "batched_candidates_per_sec",
-                    json_num(cold.candidates as f64 / cold.batched_secs),
-                ),
-                json_entry("speedup", json_num(cold.width1_secs / cold.batched_secs)),
-                json_entry("identical_results", Value::Bool(cold.identical)),
-            ]),
-        ));
-    }
-    fresh.push(json_entry("speedup", json_num(base_secs / fast_secs)));
-    fresh.push(json_entry("identical_results", Value::Bool(identical)));
-    merge_bench_file(&out, fresh)?;
-    println!(
-        "fast path: {fast_rate:.1} candidates/s   baseline: {base_rate:.1} candidates/s   \
-         speedup: {:.2}x",
-        base_secs / fast_secs
-    );
-    println!(
-        "cache hit rate: {:.1}%   steady-state trigger rate: {:.1}%   results identical: {}",
-        hit_rate * 100.0,
-        trigger_rate * 100.0,
-        identical
-    );
-    if let Some(cold) = &cold {
-        println!(
-            "cold (novel candidates): width 1: {:.1} candidates/s   \
-             lane width {}: {:.1} candidates/s   speedup: {:.2}x   identical: {}",
-            cold.candidates as f64 / cold.width1_secs,
-            cold.lane_width,
-            cold.candidates as f64 / cold.batched_secs,
-            cold.width1_secs / cold.batched_secs,
-            cold.identical
-        );
-    }
-    println!("written to {}", out.display());
-    if !identical {
-        return Err(GestError::Config(
-            "fast path and baseline diverged — the cache or extrapolation is unsound".into(),
-        ));
-    }
-    if cold.as_ref().is_some_and(|cold| !cold.identical) {
-        return Err(GestError::Config(
-            "cold bench: batched lanes diverged from single-candidate runs".into(),
-        ));
-    }
-    if flags.require_cache_hits && cache_hits == 0 {
-        return Err(GestError::Config(
-            "--require-cache-hits: the evaluation cache never hit".into(),
-        ));
-    }
-    Ok(())
-}
-
-/// One arm of the surrogate bench: its fastest-round time, the best
-/// measured fitness its search converged to, and (screened arm only)
-/// the run's surrogate statistics.
-struct SurrogateArm {
-    secs: f64,
-    best: f64,
-    stats: Option<gest::core::SurrogateStats>,
-}
-
-/// Benchmarks surrogate-screened evaluation against exact evaluation in
-/// the regime the screen targets: a *fresh* search whose bred candidates
-/// are mostly novel, so the content-addressed cache cannot help and each
-/// simulated candidate pays full price. Both arms run the identical
-/// configuration and seed at the same lane width; the screened arm
-/// additionally ranks every generation with the online surrogate and
-/// fully simulates only the predicted top-K plus the exploration quota.
-/// Each arm's time is its fastest round — every round repeats identical
-/// deterministic work, so the minimum is the least noise-contaminated
-/// estimate.
-fn run_surrogate_bench(flags: &BenchFlags, out: &Path) -> Result<(), GestError> {
-    use std::time::Instant;
-
-    let candidates = flags.population as u64 * u64::from(flags.generations);
-    eprintln!(
-        "bench: surrogate screen vs exact, machine {}, {} novel-heavy candidates ({} x {}), \
-         lane width {}, {} round{}",
-        flags.machine,
-        candidates,
-        flags.population,
-        flags.generations,
-        flags.lane_width,
-        flags.rounds,
-        if flags.rounds == 1 { "" } else { "s" },
-    );
-    let run_arm = |options: SurrogateOptions| -> Result<SurrogateArm, GestError> {
-        let mut arm = SurrogateArm {
-            secs: f64::INFINITY,
-            best: f64::NAN,
-            stats: None,
-        };
-        for _ in 0..flags.rounds {
-            let config = GestConfig::builder(&flags.machine)
-                .measurement("power")
-                .population_size(flags.population)
-                .individual_size(flags.individual)
-                .generations(flags.generations)
-                .seed(42)
-                .surrogate(options)
-                .build()?;
-            let mut run = GestRun::builder()
-                .config(config)
-                .lane_width(flags.lane_width)
-                .build()?;
-            let started = Instant::now();
-            while !run.is_complete() {
-                run.step()?;
-            }
-            arm.secs = arm.secs.min(started.elapsed().as_secs_f64());
-            arm.best = run.best().expect("a generation completed").fitness;
-            arm.stats = run.surrogate_stats();
-            run.finish();
-        }
-        Ok(arm)
-    };
-
-    let exact = run_arm(SurrogateOptions::default())?;
-    let screened = run_arm(SurrogateOptions {
-        mode: SurrogateMode::Screen,
-        topk: flags.surrogate_topk,
-        explore: flags.surrogate_explore,
-    })?;
-    let stats = screened.stats.ok_or_else(|| {
-        GestError::Config("surrogate bench: the screened run reported no surrogate stats".into())
-    })?;
-
-    let exact_cps = candidates as f64 / exact.secs;
-    let screened_cps = candidates as f64 / screened.secs;
-    let screen_share = if stats.screened + stats.simulated > 0 {
-        stats.screened as f64 / (stats.screened + stats.simulated) as f64
-    } else {
-        0.0
-    };
-    let rel_err = (exact.best - screened.best).abs() / exact.best.abs().max(f64::MIN_POSITIVE);
-
-    let eval_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let fresh = vec![
-        json_entry("machine", Value::Str(flags.machine.clone())),
-        json_entry("host", Value::Str(hostname())),
-        json_entry("eval_threads", json_num(eval_threads as f64)),
-        json_entry(
-            "surrogate",
-            Value::Obj(vec![
-                json_entry("population", json_num(flags.population as f64)),
-                json_entry("individual_size", json_num(flags.individual as f64)),
-                json_entry("generations", json_num(f64::from(flags.generations))),
-                json_entry("rounds", json_num(f64::from(flags.rounds))),
-                json_entry("lane_width", json_num(flags.lane_width as f64)),
-                json_entry("topk", json_num(flags.surrogate_topk as f64)),
-                json_entry("explore", json_num(flags.surrogate_explore as f64)),
-                json_entry("candidates", json_num(candidates as f64)),
-                json_entry(
-                    "exact",
-                    Value::Obj(vec![
-                        json_entry("seconds", json_num(exact.secs)),
-                        json_entry("candidates_per_sec", json_num(exact_cps)),
-                        json_entry("best_fitness", json_num(exact.best)),
-                    ]),
-                ),
-                json_entry(
-                    "screened",
-                    Value::Obj(vec![
-                        json_entry("seconds", json_num(screened.secs)),
-                        json_entry("candidates_per_sec", json_num(screened_cps)),
-                        json_entry("best_fitness", json_num(screened.best)),
-                        json_entry("screen_rate", json_num(screen_share)),
-                        json_entry("screened", json_num(stats.screened as f64)),
-                        json_entry("simulated", json_num(stats.simulated as f64)),
-                        json_entry("spearman", stats.spearman.map_or(Value::Null, json_num)),
-                        json_entry("gate_open", Value::Bool(stats.gate_open)),
-                        json_entry("samples", json_num(stats.samples as f64)),
-                    ]),
-                ),
-                json_entry("speedup", json_num(exact.secs / screened.secs)),
-                json_entry("best_fitness_rel_err", json_num(rel_err)),
-            ]),
-        ),
-    ];
-    merge_bench_file(out, fresh)?;
-
-    println!(
-        "exact: {exact_cps:.1} candidates/s   screened: {screened_cps:.1} candidates/s   \
-         speedup: {:.2}x",
-        exact.secs / screened.secs
-    );
-    println!(
-        "screen rate: {:.1}%   spearman: {}   best fitness: exact {:.5} vs screened {:.5} \
-         ({:.2}% apart)",
-        screen_share * 100.0,
-        stats
-            .spearman
-            .map_or_else(|| "-".to_string(), |s| format!("{s:.4}")),
-        exact.best,
-        screened.best,
-        rel_err * 100.0
-    );
-    println!("written to {}", out.display());
     Ok(())
 }
 

@@ -283,6 +283,21 @@ impl<'a> Decoder<'a> {
         })
     }
 
+    /// Checks that `count` entries of at least `min_entry_bytes` each fit
+    /// in the remaining input: a count that cannot is truncation, caught
+    /// before anything reserves capacity for it.
+    fn fits(
+        &self,
+        count: u64,
+        min_entry_bytes: u64,
+        what: &'static str,
+    ) -> Result<usize, CodecError> {
+        if count.saturating_mul(min_entry_bytes) > self.remaining() as u64 {
+            return Err(CodecError::UnexpectedEnd { decoding: what });
+        }
+        Ok(count as usize)
+    }
+
     fn len_prefix(&mut self, what: &'static str) -> Result<usize, CodecError> {
         let len = self.varint()?;
         if len > MAX_LEN {
@@ -291,10 +306,16 @@ impl<'a> Decoder<'a> {
                 limit: MAX_LEN,
             });
         }
-        if len as usize > self.remaining() {
-            return Err(CodecError::UnexpectedEnd { decoding: what });
-        }
-        Ok(len as usize)
+        self.fits(len, 1, what)
+    }
+
+    /// Reads a varint count of entries that each take at least
+    /// `min_entry_bytes` of input, so a decoder can reserve for them
+    /// safely: a count the remaining input cannot hold is
+    /// [`CodecError::UnexpectedEnd`], however large it claims to be.
+    pub fn count(&mut self, min_entry_bytes: u64, what: &'static str) -> Result<usize, CodecError> {
+        let count = self.varint()?;
+        self.fits(count, min_entry_bytes, what)
     }
 
     /// Reads a length-prefixed byte slice.
@@ -457,6 +478,24 @@ mod tests {
         let bytes = enc.into_bytes();
         let mut dec = Decoder::new(&bytes);
         assert!(matches!(dec.bytes(), Err(CodecError::UnexpectedEnd { .. })));
+    }
+
+    #[test]
+    fn count_beyond_remaining_input_rejected() {
+        let mut enc = Encoder::new();
+        enc.varint(3).u64(1).u64(2).u64(3);
+        let bytes = enc.into_bytes();
+        assert_eq!(Decoder::new(&bytes).count(8, "words").unwrap(), 3);
+        assert!(matches!(
+            Decoder::new(&bytes).count(9, "words"),
+            Err(CodecError::UnexpectedEnd { decoding: "words" })
+        ));
+        let mut enc = Encoder::new();
+        enc.varint(u64::MAX);
+        assert!(matches!(
+            Decoder::new(&enc.into_bytes()).count(1, "words"),
+            Err(CodecError::UnexpectedEnd { .. })
+        ));
     }
 
     #[test]

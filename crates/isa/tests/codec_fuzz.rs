@@ -1,10 +1,12 @@
 //! Property-based fuzzing of the population codec: the instruction
-//! decoder and the `SavedPopulation` files built on it. Arbitrary bytes,
+//! decoder, the `SavedPopulation` files built on it and the `GESTCKP1`
+//! checkpoint manifests that embed a saved individual. Arbitrary bytes,
 //! bit flips and truncations must come back as clean `CodecError`s —
 //! never a panic — an operand of the wrong kind must still be rejected,
 //! and encode → decode must be the identity over valid genes.
 
-use gest_core::{SavedIndividual, SavedPopulation};
+use gest_core::{Checkpoint, SavedIndividual, SavedPopulation};
+use gest_ga::{EngineState, GenerationSummary, OpCounts};
 use gest_isa::codec::{Decoder, Encoder};
 use gest_isa::{CodecError, Gene, Instruction, IsaError, Opcode, Operand, OperandSlot, Reg, VReg};
 use proptest::prelude::*;
@@ -59,10 +61,10 @@ fn gene_strategy() -> impl Strategy<Value = Gene> {
         .prop_map(|(def_index, instrs)| Gene { def_index, instrs })
 }
 
-/// Strategy over population files with finite fitness and measurements
+/// Strategy over saved individuals with finite fitness and measurements
 /// (so `PartialEq` is a faithful round-trip check).
-fn population_strategy() -> impl Strategy<Value = SavedPopulation> {
-    let individual = (
+fn individual_strategy() -> impl Strategy<Value = SavedIndividual> {
+    (
         any::<u64>(),
         any::<u64>(),
         -1e6f64..1e6,
@@ -81,13 +83,60 @@ fn population_strategy() -> impl Strategy<Value = SavedPopulation> {
                 measurements,
                 genes,
             },
-        );
-    (any::<u32>(), prop::collection::vec(individual, 0..4)).prop_map(|(generation, individuals)| {
-        SavedPopulation {
+        )
+}
+
+/// Strategy over population files.
+fn population_strategy() -> impl Strategy<Value = SavedPopulation> {
+    (
+        any::<u32>(),
+        prop::collection::vec(individual_strategy(), 0..4),
+    )
+        .prop_map(|(generation, individuals)| SavedPopulation {
             generation,
             individuals,
-        }
-    })
+        })
+}
+
+/// Strategy over checkpoint manifests, with and without a best
+/// individual.
+fn checkpoint_strategy() -> impl Strategy<Value = Checkpoint> {
+    let summary = (any::<u32>(), -1e6f64..1e6, -1e6f64..1e6, any::<u64>()).prop_map(
+        |(generation, best_fitness, mean_fitness, best_id)| GenerationSummary {
+            generation,
+            best_fitness,
+            mean_fitness,
+            best_id,
+        },
+    );
+    (
+        (any::<u64>(), any::<u32>()),
+        (any::<[u64; 4]>(), any::<u64>(), any::<[u64; 5]>()),
+        prop::collection::vec(summary, 0..4),
+        prop::collection::vec(individual_strategy(), 0..2),
+    )
+        .prop_map(
+            |((config_fingerprint, generation), (rng, next_id, counts), history, mut best)| {
+                let [selections, crossovers, mutated_genes, elite_copies, random_genes] = counts;
+                Checkpoint {
+                    config_fingerprint,
+                    generation,
+                    engine: EngineState {
+                        rng,
+                        next_id,
+                        counts: OpCounts {
+                            selections,
+                            crossovers,
+                            mutated_genes,
+                            elite_copies,
+                            random_genes,
+                        },
+                    },
+                    history,
+                    best: best.pop(),
+                }
+            },
+        )
 }
 
 fn encode_block(block: &[Instruction]) -> Vec<u8> {
@@ -102,6 +151,7 @@ fn decode_everything(bytes: &[u8]) {
     let _ = Decoder::new(bytes).instructions();
     let _ = Decoder::new(bytes).program();
     let _ = SavedPopulation::decode(bytes);
+    let _ = Checkpoint::decode(bytes);
 }
 
 proptest! {
@@ -123,12 +173,31 @@ proptest! {
         decode_everything(&bytes);
     }
 
-    /// Encode → decode is the identity for instruction blocks and whole
-    /// population files, and re-encoding reproduces the bytes.
+    /// The same behind a valid checkpoint header, so the soup reaches the
+    /// history and best-individual decoders.
+    #[test]
+    fn arbitrary_checkpoint_bodies_never_panic(body in prop::collection::vec(any::<u8>(), 0..512)) {
+        let mut bytes = Checkpoint {
+            config_fingerprint: 0,
+            generation: 0,
+            engine: EngineState { rng: [0; 4], next_id: 0, counts: OpCounts::default() },
+            history: Vec::new(),
+            best: None,
+        }
+        .encode();
+        bytes.truncate(bytes.len() - 2); // the empty history and the no-best flag
+        bytes.extend_from_slice(&body);
+        decode_everything(&bytes);
+    }
+
+    /// Encode → decode is the identity for instruction blocks, whole
+    /// population files and checkpoint manifests, and re-encoding
+    /// reproduces the bytes.
     #[test]
     fn valid_encodings_round_trip(
         block in prop::collection::vec(instruction_strategy(), 0..12),
         population in population_strategy(),
+        checkpoint in checkpoint_strategy(),
     ) {
         let bytes = encode_block(&block);
         let mut dec = Decoder::new(&bytes);
@@ -139,6 +208,11 @@ proptest! {
         let decoded = SavedPopulation::decode(&bytes).unwrap();
         prop_assert_eq!(&decoded, &population);
         prop_assert_eq!(decoded.encode(), bytes);
+
+        let bytes = checkpoint.encode();
+        let decoded = Checkpoint::decode(&bytes).unwrap();
+        prop_assert_eq!(&decoded, &checkpoint);
+        prop_assert_eq!(decoded.encode(), bytes);
     }
 
     /// Every strict prefix of a valid encoding fails cleanly.
@@ -146,6 +220,7 @@ proptest! {
     fn truncations_error_cleanly(
         block in prop::collection::vec(instruction_strategy(), 1..12),
         population in population_strategy(),
+        checkpoint in checkpoint_strategy(),
         cut_seed in any::<u64>(),
     ) {
         let bytes = encode_block(&block);
@@ -155,6 +230,10 @@ proptest! {
         let bytes = population.encode();
         let cut = (cut_seed % bytes.len() as u64) as usize;
         prop_assert!(SavedPopulation::decode(&bytes[..cut]).is_err());
+
+        let bytes = checkpoint.encode();
+        let cut = (cut_seed % bytes.len() as u64) as usize;
+        prop_assert!(Checkpoint::decode(&bytes[..cut]).is_err());
     }
 
     /// Corrupting any byte of a valid encoding never panics.
@@ -162,10 +241,11 @@ proptest! {
     fn bit_flips_never_panic(
         block in prop::collection::vec(instruction_strategy(), 1..12),
         population in population_strategy(),
+        checkpoint in checkpoint_strategy(),
         position_seed in any::<u64>(),
         mask in 1u8..=255,
     ) {
-        for mut bytes in [encode_block(&block), population.encode()] {
+        for mut bytes in [encode_block(&block), population.encode(), checkpoint.encode()] {
             let position = (position_seed % bytes.len() as u64) as usize;
             bytes[position] ^= mask;
             decode_everything(&bytes);

@@ -1,13 +1,23 @@
-//! Confidence-gate degradation: a fitness that is pseudorandom in the
-//! program content is unlearnable, so the rolling rank correlation can
-//! never clear the gate — a screened run must degrade to 100% full
-//! simulation and say so in its telemetry, rather than assigning
-//! garbage surrogate fitness.
+//! The surrogate screen's confidence gate, both ways.
+//!
+//! - Degradation: a fitness that is pseudorandom in the program content
+//!   is unlearnable, so the rolling rank correlation can never clear the
+//!   gate — a screened run must degrade to 100% full simulation and say
+//!   so in its telemetry, rather than assigning garbage surrogate
+//!   fitness.
+//! - The regime the screen targets: a fresh power-virus search whose
+//!   bred candidates are mostly novel, so the evaluation cache cannot
+//!   help. There the model must learn the power curve well enough to
+//!   open the gate (a deterministic check at a fixed seed), and screening
+//!   must beat exact evaluation on wall-clock (an ignored test, run in
+//!   release by CI: `cargo test --release -p gest --test surrogate_gate
+//!   -- --include-ignored`).
 
 use gest::core::{GestConfig, GestError, GestRun, Measurement, SurrogateMode, SurrogateOptions};
 use gest::isa::Program;
 use gest::telemetry::{Event, MemorySink, Telemetry};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// FNV-1a over the loop-body text, mapped to (0, 1]: deterministic per
 /// content but structureless to a regression on genome features. A
@@ -96,5 +106,88 @@ fn unlearnable_fitness_closes_the_gate_and_degrades_to_full_simulation() {
                         .any(|(k, v)| k == "surrogate_gate_closed" && v.to_string() == "1")
         )),
         "health points must carry the degradation warning"
+    );
+}
+
+/// Screening knobs of the novel-heavy search: the predicted top 8 of each
+/// 64-candidate generation plus 2 exploration picks are simulated.
+const SCREEN: SurrogateOptions = SurrogateOptions {
+    mode: SurrogateMode::Screen,
+    topk: 8,
+    explore: 2,
+};
+
+/// A fresh power-virus search on the Cortex-A15, 64 candidates of 100
+/// instructions over 15 generations at seed 42: mostly novel candidates,
+/// each paying a full simulation unless screened.
+fn novel_heavy_search(surrogate: SurrogateOptions) -> GestRun {
+    let config = GestConfig::builder("cortex-a15")
+        .measurement("power")
+        .population_size(64)
+        .individual_size(100)
+        .generations(15)
+        .seed(42)
+        .surrogate(surrogate)
+        .build()
+        .unwrap();
+    GestRun::builder()
+        .config(config)
+        .lane_width(4)
+        .build()
+        .unwrap()
+}
+
+/// Steps `run` to completion and returns the stepping wall-clock.
+fn step_to_completion(run: &mut GestRun) -> Duration {
+    let started = Instant::now();
+    while !run.is_complete() {
+        run.step().unwrap();
+    }
+    started.elapsed()
+}
+
+#[test]
+fn learnable_fitness_opens_the_gate_on_a_novel_heavy_search() {
+    let mut run = novel_heavy_search(SCREEN);
+    step_to_completion(&mut run);
+    let stats = run.surrogate_stats().expect("screening is on");
+    run.finish();
+    assert!(stats.gate_open, "the gate must be open: {stats:?}");
+    assert!(
+        stats.spearman.is_some_and(|s| s >= 0.8),
+        "rank correlation too weak to trust the screen: {stats:?}"
+    );
+    assert!(
+        stats.screened > 0,
+        "an open gate must screen candidates: {stats:?}"
+    );
+}
+
+#[test]
+#[ignore = "wall-clock comparison; CI runs it in release with --include-ignored"]
+fn screening_beats_exact_evaluation_on_wall_clock() {
+    // Each arm's time is its fastest of 2 rounds: every round repeats
+    // identical deterministic work, so the minimum is the least
+    // noise-contaminated estimate.
+    let fastest_of_2 = |surrogate: SurrogateOptions| {
+        (0..2)
+            .map(|_| {
+                let mut run = novel_heavy_search(surrogate);
+                let elapsed = step_to_completion(&mut run);
+                run.finish();
+                elapsed
+            })
+            .min()
+            .unwrap()
+    };
+    let exact = fastest_of_2(SurrogateOptions::default());
+    let screened = fastest_of_2(SCREEN);
+    eprintln!(
+        "exact {exact:?}, screened {screened:?}: {:.2}x",
+        exact.as_secs_f64() / screened.as_secs_f64()
+    );
+    assert!(
+        screened < exact,
+        "screening must be faster than exact evaluation: screened {screened:?} vs exact {exact:?}"
     );
 }
