@@ -9,12 +9,17 @@
 //! widths 1 and 4, which must agree with each other and with the table.
 //!
 //! A second table pins the on-disk `GESTCKP1` checkpoint manifest each
-//! search leaves behind, which the population digests do not cover.
+//! search leaves behind, which the population digests do not cover. A
+//! third pins the whole artifact tree the search writes: `config.xml`,
+//! `template.txt`, every individual's source file, every population file
+//! and the manifest.
 //!
 //! Changing a digest is a deliberate, reviewed act: a mismatch prints the
 //! digests the current build produces.
 
-use gest::core::{GestConfig, GestConfigBuilder, GestRun, SavedPopulation, CHECKPOINT_FILE};
+use gest::core::{
+    GestConfig, GestConfigBuilder, GestRun, SavedPopulation, CHECKPOINT_FILE, EVAL_CACHE_FILE,
+};
 use std::path::Path;
 
 /// FNV-1a 64 over `bytes`.
@@ -60,6 +65,15 @@ const GOLDEN_CHECKPOINTS: [(&str, &str, u64); 4] = [
     ("cortex-a7", "power", 0x39ef_cc46_bab3_471d),
     ("xgene2", "temperature", 0xab6d_6e1d_da6f_ec60),
     ("athlon-x4", "voltage_noise", 0x75c5_723e_600e_4bb9),
+];
+
+/// `(machine, measurement, artifact-tree digest)` for the same four
+/// searches, checkpointing every generation.
+const GOLDEN_ARTIFACT_TREES: [(&str, &str, u64); 4] = [
+    ("cortex-a15", "power", 0x8358_35ce_b862_b049),
+    ("cortex-a7", "power", 0x4607_c436_1186_b29e),
+    ("xgene2", "temperature", 0xab29_3d27_7eb7_bdd6),
+    ("athlon-x4", "voltage_noise", 0x3c40_657d_f7f9_b923),
 ];
 
 fn builder(machine: &str, measurement: &str) -> GestConfigBuilder {
@@ -148,6 +162,78 @@ fn paper_case_studies_write_the_committed_checkpoint_manifests() {
             std::env::temp_dir().join(format!("gest_golden_ckpt_{machine}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let got = checkpoint_digest(machine, measurement, &dir);
+        std::fs::remove_dir_all(&dir).unwrap();
+        if got != committed {
+            mismatches.push(format!(
+                "{machine} {measurement}: got {got:#018x}, committed {committed:#018x}"
+            ));
+        }
+    }
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}
+
+/// Runs one search with a checkpoint every generation and digests its
+/// output directory: FNV-1a 64 over the name-sorted `(name, bytes)` list.
+/// `evalcache.bin` is left out because it is recency-ordered. The bytes
+/// that depend on where the directory lives are normalized: the
+/// `<output dir=...>` path in `config.xml` and the manifest's config
+/// fingerprint.
+fn artifact_tree_digest(machine: &str, measurement: &str, dir: &Path) -> u64 {
+    let config = builder(machine, measurement)
+        .output_dir(dir)
+        .checkpoint_every(1)
+        .build()
+        .unwrap();
+    let mut run = GestRun::builder().config(config).build().unwrap();
+    while !run.step().unwrap().is_terminal() {}
+    run.finish();
+    drop(run);
+    let dir_text = dir.display().to_string();
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| {
+            let entry = entry.unwrap();
+            let name = entry.file_name().into_string().unwrap();
+            let mut bytes = std::fs::read(entry.path()).unwrap();
+            if name == "config.xml" {
+                let text = String::from_utf8(bytes).unwrap();
+                assert!(
+                    text.contains(&dir_text),
+                    "{machine}: config.xml names its dir"
+                );
+                bytes = text.replace(&dir_text, "OUTPUT_DIR").into_bytes();
+            } else if name == CHECKPOINT_FILE {
+                bytes[FINGERPRINT_BYTES].fill(0);
+            }
+            (name, bytes)
+        })
+        .filter(|(name, _)| name != EVAL_CACHE_FILE)
+        .collect();
+    files.sort();
+    let sources = files
+        .iter()
+        .filter(|(name, _)| name.ends_with(".txt"))
+        .count();
+    // template.txt plus population 8 over 3 generations.
+    assert_eq!(sources, 1 + 8 * 3, "{machine}: one source per individual");
+    let mut listing = Vec::new();
+    for (name, bytes) in &files {
+        listing.extend_from_slice(name.as_bytes());
+        listing.push(0);
+        listing.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
+        listing.extend_from_slice(bytes);
+    }
+    fnv1a64(&listing)
+}
+
+#[test]
+fn paper_case_studies_write_the_committed_artifact_trees() {
+    let mut mismatches = Vec::new();
+    for (machine, measurement, committed) in GOLDEN_ARTIFACT_TREES {
+        let dir =
+            std::env::temp_dir().join(format!("gest_golden_tree_{machine}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let got = artifact_tree_digest(machine, measurement, &dir);
         std::fs::remove_dir_all(&dir).unwrap();
         if got != committed {
             mismatches.push(format!(
