@@ -11,15 +11,23 @@
 //!   new search.
 //! * The configuration and template are copied into the output directory
 //!   for record-keeping.
+//!
+//! A generation's files are written on a background thread while the
+//! search goes on (see [`OutputWriter::save_generation`]); at most one
+//! such write is in flight per writer.
 
 use crate::config::GestConfig;
 use crate::error::GestError;
 use gest_ga::{Evaluated, Population};
 use gest_isa::codec::{Decoder, Encoder};
 use gest_isa::{CodecError, Gene, InstructionPool, Template};
+use gest_telemetry::Telemetry;
 use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
+use std::thread::JoinHandle;
 
 /// Magic bytes identifying a population file.
 const MAGIC: &[u8; 8] = b"GESTPOP1";
@@ -338,9 +346,44 @@ pub(crate) fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 }
 
 /// Writes run outputs to a directory.
+///
+/// [`OutputWriter::save_generation`] hands each generation to a background
+/// thread and returns; at most one such write is in flight. Every call
+/// that needs the files on disk first joins it through
+/// [`OutputWriter::wait`], and dropping the writer joins it too. The first
+/// failed write is sticky: every later `save_generation` and `wait`
+/// reports it again, so no checkpoint manifest can ever name a population
+/// file that did not land.
 #[derive(Debug)]
 pub struct OutputWriter {
     dir: PathBuf,
+    pending: Mutex<Pending>,
+}
+
+/// The in-flight generation write and the first write failure.
+#[derive(Debug, Default)]
+struct Pending {
+    write: Option<JoinHandle<io::Result<()>>>,
+    failed: Option<(io::ErrorKind, String)>,
+}
+
+impl Pending {
+    /// Joins the in-flight write, if any; `Err` when it or any earlier
+    /// write failed.
+    fn join(&mut self) -> Result<(), GestError> {
+        if let Some(write) = self.write.take() {
+            let outcome = write
+                .join()
+                .unwrap_or_else(|_| Err(io::Error::other("the artifact writer thread panicked")));
+            if let Err(error) = outcome {
+                self.failed.get_or_insert((error.kind(), error.to_string()));
+            }
+        }
+        match &self.failed {
+            Some((kind, message)) => Err(GestError::Io(io::Error::new(*kind, message.clone()))),
+            None => Ok(()),
+        }
+    }
 }
 
 impl OutputWriter {
@@ -361,6 +404,7 @@ impl OutputWriter {
         fs::write(dir.join("template.txt"), template_program.to_string())?;
         Ok(OutputWriter {
             dir: dir.to_owned(),
+            pending: Mutex::default(),
         })
     }
 
@@ -374,13 +418,14 @@ impl OutputWriter {
     /// [`GestError::Io`] when the directory does not exist.
     pub fn reopen(dir: &Path) -> Result<OutputWriter, GestError> {
         if !dir.is_dir() {
-            return Err(GestError::Io(std::io::Error::new(
-                std::io::ErrorKind::NotFound,
+            return Err(GestError::Io(io::Error::new(
+                io::ErrorKind::NotFound,
                 format!("output directory {} does not exist", dir.display()),
             )));
         }
         Ok(OutputWriter {
             dir: dir.to_owned(),
+            pending: Mutex::default(),
         })
     }
 
@@ -389,52 +434,50 @@ impl OutputWriter {
         &self.dir
     }
 
-    /// Saves one evaluated generation: per-individual source files plus
-    /// the binary population file.
+    fn pending(&self) -> std::sync::MutexGuard<'_, Pending> {
+        self.pending.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Saves one evaluated generation — per-individual source files plus
+    /// the binary population file — on a background thread, after joining
+    /// the previous generation's write. The thread records an
+    /// `output.write` span tagged with the generation.
     ///
     /// # Errors
     ///
-    /// I/O errors.
+    /// [`GestError::Io`] when the previous write (or any earlier one)
+    /// failed, or the thread cannot be spawned. A failure of this
+    /// generation's write surfaces from the next call that joins it.
     pub fn save_generation(
         &self,
-        population: &Population<Gene>,
-        pool: &InstructionPool,
-        template: &Template,
+        population: Arc<Population<Gene>>,
+        pool: Arc<InstructionPool>,
+        template: Template,
+        telemetry: Telemetry,
     ) -> Result<(), GestError> {
-        for individual in &population.individuals {
-            let mut name = format!("{}_{}", population.generation, individual.id);
-            for m in &individual.measurements {
-                name.push_str(&format!("_{m:.3}"));
-            }
-            name.push_str(".txt");
-            let body = InstructionPool::flatten(&individual.genes);
-            let program =
-                template.materialize(format!("{}_{}", population.generation, individual.id), body);
-            let mut source = program.to_string();
-            // Custom per-definition formats, if any, are recorded after the
-            // canonical source as a comment block.
-            if individual
-                .genes
-                .iter()
-                .any(|g| pool.defs()[g.def_index].format.is_some())
-            {
-                source.push_str("; custom-format rendering:\n");
-                for gene in &individual.genes {
-                    source.push_str("; ");
-                    source.push_str(&pool.render(gene));
-                    source.push('\n');
-                }
-            }
-            fs::write(self.dir.join(name), source)?;
-        }
-        let saved = SavedPopulation::from_population(population);
-        atomic_write(
-            &self
-                .dir
-                .join(format!("population_{:04}.bin", population.generation)),
-            &saved.encode(),
-        )?;
+        let mut pending = self.pending();
+        pending.join()?;
+        let dir = self.dir.clone();
+        let write = std::thread::Builder::new()
+            .name("gest-output".into())
+            .spawn(move || {
+                let _span = telemetry.span_with(
+                    "output.write",
+                    &[("generation", u64::from(population.generation).into())],
+                );
+                write_generation(&dir, &population, &pool, &template)
+            })?;
+        pending.write = Some(write);
         Ok(())
+    }
+
+    /// Waits for the in-flight generation write, if any.
+    ///
+    /// # Errors
+    ///
+    /// [`GestError::Io`] when it or any earlier write failed.
+    pub fn wait(&self) -> Result<(), GestError> {
+        self.pending().join()
     }
 
     /// Lists saved population files in generation order.
@@ -463,6 +506,55 @@ impl OutputWriter {
         });
         Ok(files)
     }
+}
+
+impl Drop for OutputWriter {
+    fn drop(&mut self) {
+        // Whoever needed the error has joined already; this only makes
+        // sure no write outlives its writer.
+        let _ = self.pending().join();
+    }
+}
+
+/// Writes one generation's files into `dir`: every individual's source,
+/// named `{generation}_{id}_{m1}_{m2}….txt`, then the population file.
+fn write_generation(
+    dir: &Path,
+    population: &Population<Gene>,
+    pool: &InstructionPool,
+    template: &Template,
+) -> io::Result<()> {
+    for individual in &population.individuals {
+        let mut name = format!("{}_{}", population.generation, individual.id);
+        for m in &individual.measurements {
+            name.push_str(&format!("_{m:.3}"));
+        }
+        name.push_str(".txt");
+        let body = InstructionPool::flatten(&individual.genes);
+        let program =
+            template.materialize(format!("{}_{}", population.generation, individual.id), body);
+        let mut source = program.to_string();
+        // Custom per-definition formats, if any, are recorded after the
+        // canonical source as a comment block.
+        if individual
+            .genes
+            .iter()
+            .any(|g| pool.defs()[g.def_index].format.is_some())
+        {
+            source.push_str("; custom-format rendering:\n");
+            for gene in &individual.genes {
+                source.push_str("; ");
+                source.push_str(&pool.render(gene));
+                source.push('\n');
+            }
+        }
+        fs::write(dir.join(name), source)?;
+    }
+    let saved = SavedPopulation::from_population(population);
+    atomic_write(
+        &dir.join(format!("population_{:04}.bin", population.generation)),
+        &saved.encode(),
+    )
 }
 
 #[cfg(test)]
@@ -538,8 +630,14 @@ mod tests {
         let config = GestConfig::builder("cortex-a15").build().unwrap();
         let writer = OutputWriter::new(&dir, &config, &template).unwrap();
         writer
-            .save_generation(&population, &pool, &template)
+            .save_generation(
+                Arc::new(population),
+                Arc::new(pool),
+                template.clone(),
+                Telemetry::disabled(),
+            )
             .unwrap();
+        writer.wait().unwrap();
 
         assert!(dir.join("config.xml").exists());
         assert!(dir.join("template.txt").exists());
