@@ -50,6 +50,13 @@ impl Sink for Vec<u8> {
     }
 }
 
+/// Lets an encoder append to a buffer its caller keeps and reuses.
+impl<S: Sink + ?Sized> Sink for &mut S {
+    fn put(&mut self, bytes: &[u8]) {
+        (**self).put(bytes);
+    }
+}
+
 /// Appends binary values to a [`Sink`], by default a growing buffer.
 #[derive(Debug, Clone, Default)]
 pub struct Encoder<S = Vec<u8>> {
