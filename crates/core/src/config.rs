@@ -38,12 +38,12 @@ pub struct GestConfig {
     pub seed_population: Option<PathBuf>,
     /// Worker threads for individual evaluation (0 = all available).
     pub threads: usize,
-    /// Candidates each evaluation slot batches through the simulator's
-    /// lockstep lanes per backend call (`0` and `1` both mean one
+    /// Candidates each evaluation slot hands its backend per call, which
+    /// measures them one after another (`0` and `1` both mean one
     /// candidate per call). Like `threads`, an execution detail: it is
     /// not serialized to XML, never perturbs checkpoint fingerprints, and
-    /// any width produces byte-identical search artifacts — wider lanes
-    /// only amortize per-run setup.
+    /// any width produces byte-identical search artifacts — a wider call
+    /// only amortizes per-call overhead.
     pub lane_width: usize,
     /// Write a crash-recovery checkpoint manifest every N generations
     /// (requires `output_dir`; `None` disables checkpointing). The last
@@ -457,8 +457,8 @@ impl GestConfigBuilder {
         self
     }
 
-    /// Sets how many candidates each evaluation slot batches through the
-    /// simulator's lockstep lanes (0/1 = one candidate per call). An
+    /// Sets how many candidates each evaluation slot hands its backend per
+    /// call, measured one after another (0/1 = one candidate per call). An
     /// execution detail like [`threads`](Self::threads): results are
     /// byte-identical at every width.
     pub fn lane_width(mut self, lane_width: usize) -> Self {

@@ -78,9 +78,10 @@ pub trait EvalBackend: Send + Sync + std::fmt::Debug {
     /// How many candidates this backend prefers to receive per
     /// [`measure_batch`](EvalBackend::measure_batch) call. `1` (the
     /// default) has the runner hand over one candidate per call; backends
-    /// with a genuinely batched substrate (the local simulator's lockstep
-    /// lanes) report their lane width so the runner hands them whole
-    /// chunks, and decorators forward their inner backend's width.
+    /// that measure a chunk in one call (the local simulator, one
+    /// candidate after another through one scratch) report their lane
+    /// width so the runner hands them whole chunks, and decorators forward
+    /// their inner backend's width.
     fn lane_width(&self) -> usize {
         1
     }
@@ -254,10 +255,10 @@ impl LocalBackend {
         }
     }
 
-    /// Sets how many candidates each slot batches through the
-    /// measurement's lockstep simulator core per call (`0` and `1` both
-    /// mean one candidate per call). An execution detail like `threads`:
-    /// it changes wall-clock, never results.
+    /// Sets how many candidates each slot hands the measurement per call,
+    /// measured one after another (`0` and `1` both mean one candidate per
+    /// call). An execution detail like `threads`: it changes wall-clock,
+    /// never results.
     #[must_use]
     pub fn with_lane_width(mut self, lane_width: usize) -> Self {
         self.lane_width = lane_width.max(1);

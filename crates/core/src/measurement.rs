@@ -59,10 +59,10 @@ pub trait Measurement: Send + Sync + Debug {
     /// Measures a whole batch, one result per program, in order. The
     /// default loops [`measure_detailed`](Measurement::measure_detailed),
     /// so every measurement supports batching; sim-backed measurements
-    /// override it to run all programs through the simulator's lockstep
-    /// batch core, which amortizes per-run setup without changing any
-    /// value. A failing program yields an `Err` in its lane only — it
-    /// never disturbs its neighbours.
+    /// override it to run the programs one after another through one
+    /// reused simulator scratch, which amortizes per-run setup without
+    /// changing any value. A failing program yields an `Err` in its lane
+    /// only — it never disturbs its neighbours.
     fn measure_batch_detailed(&self, programs: &[Program]) -> MeasuredBatch {
         programs
             .iter()
@@ -82,11 +82,10 @@ pub trait Measurement: Send + Sync + Debug {
 }
 
 thread_local! {
-    /// One reusable simulator scratch per evaluation thread: per-lane
-    /// decode buffers, energy waveforms, steady-state detector storage and
-    /// pooled instruments, plus the shared memos (fill-pattern hashes,
-    /// thermal schedule), survive across the many programs a worker
-    /// measures.
+    /// One reusable simulator scratch per evaluation thread: the decode
+    /// buffer, energy waveform, steady-state detector storage, pooled
+    /// instruments and thermal schedule memo survive across the many
+    /// programs a worker measures.
     static BATCH_SCRATCH: std::cell::RefCell<gest_sim::BatchScratch> =
         std::cell::RefCell::new(gest_sim::BatchScratch::new());
 }
@@ -137,7 +136,7 @@ pub trait SimProjection: Send + Sync + Debug + 'static {
 
 /// A measurement that runs each program on a simulated machine and
 /// projects the result through `P`. A lone program is a batch of one
-/// through the simulator's lockstep core, so there is one evaluation
+/// through this thread's simulator scratch, so there is one evaluation
 /// path whatever the lane width.
 #[derive(Debug, Clone)]
 pub struct SimMeasurement<P> {
@@ -182,9 +181,9 @@ impl<P: SimProjection> Measurement for SimMeasurement<P> {
             .expect("one lane per program")
     }
 
-    /// Runs every program through the simulator's lockstep batch core on
-    /// this thread's scratch; the process-wide fast-path counters advance
-    /// by what the batch did.
+    /// Runs every program, one after another, through this thread's
+    /// simulator scratch; the process-wide fast-path counters advance by
+    /// what the batch did.
     fn measure_batch_detailed(&self, programs: &[Program]) -> MeasuredBatch {
         BATCH_SCRATCH.with(|cell| {
             let mut scratch = cell.borrow_mut();

@@ -142,13 +142,12 @@ struct BodyOp {
     class_idx: usize,
 }
 
-/// One lane's reusable buffers: the prepared body ops, the per-cycle energy
-/// waveform, the steady-state detector's rings and snapshots, and pooled
-/// instruments recycled across runs. Every buffer here is mutable
-/// per-candidate state — lanes of a batch each own one, so nothing a lane
-/// writes is visible to its neighbours.
+/// The reusable run buffers: the prepared body ops, the per-cycle energy
+/// waveform, the steady-state detector's rings and snapshots, and the
+/// instruments recycled across runs. Every run clears or resets each buffer
+/// before reading it, so nothing one program leaves here reaches the next.
 #[derive(Debug, Default)]
-struct LaneScratch {
+struct RunBuffers {
     cycle_energy_pj: Vec<f64>,
     ops: Vec<BodyOp>,
     cur_echo: Vec<EchoRec>,
@@ -158,25 +157,21 @@ struct LaneScratch {
     fps: VecDeque<u64>,
     prev_snap: SteadySnapshot,
     cur_snap: SteadySnapshot,
-    /// Architectural state recycled across runs through this lane (a
-    /// reset + refill is far cheaper than reallocating the memory buffer).
+    /// Architectural state recycled across runs (a reset + refill is far
+    /// cheaper than reallocating the memory buffer).
     pooled_state: Option<ArchState>,
-    /// Data cache recycled across runs through this lane (its per-set
-    /// allocations dominate cold-run setup cost).
+    /// Data cache recycled across runs (its per-set allocations dominate
+    /// cold-run setup cost).
     pooled_cache: Option<DataCache>,
 }
 
-/// Reusable buffers for [`Simulator::run_batch_with_scratch`]: one
-/// [`LaneScratch`] per lane plus batch-shared derived values (fill-pattern
-/// memory hashes, the thermal hold schedule) that are deterministic
-/// functions of the machine and run configuration, so sharing them cannot
-/// perturb any lane's result.
+/// Reusable state for [`Simulator::run_batch_with_scratch`]: one set of
+/// run buffers, which the programs of a call use one after another, plus
+/// the memoized thermal hold schedule, a deterministic function of the
+/// machine and run configuration.
 #[derive(Debug, Default)]
 pub struct BatchScratch {
-    lanes: Vec<LaneScratch>,
-    /// Memoized `(mem_bytes, fill_byte) → mem_hash` for initial memory
-    /// images; computed by one full scan, seeded into every other lane.
-    fill_hashes: Vec<(usize, u8, u64)>,
+    buffers: RunBuffers,
     /// Memoized thermal hold schedule (per machine + hold duration).
     thermal: Option<ThermalSchedule>,
     /// Runs performed through this scratch.
@@ -254,8 +249,8 @@ impl Simulator {
         &self.machine
     }
 
-    /// Executes `program` under `config` and returns the measurements — a
-    /// batch of one through a fresh scratch.
+    /// Executes `program` under `config` and returns the measurements,
+    /// through a fresh scratch.
     ///
     /// The loop body runs repeatedly (the paper's viruses are infinite
     /// loops; the measurement scripts run them "for a few seconds") until
@@ -266,9 +261,8 @@ impl Simulator {
     /// * [`SimError::EmptyProgram`] when the body has no instructions,
     /// * [`SimError::Exec`] if functional execution fails.
     pub fn run(&self, program: &Program, config: &RunConfig) -> Result<RunResult, SimError> {
-        self.run_batch(std::slice::from_ref(program), config)
-            .pop()
-            .expect("one lane per program")
+        self.run_one(program, config, false, &mut BatchScratch::new())
+            .map(|(result, _)| result)
     }
 
     /// Like [`run`](Simulator::run), additionally capturing the per-cycle
@@ -299,177 +293,100 @@ impl Simulator {
         program: &Program,
         config: &RunConfig,
     ) -> Result<(RunResult, Traces), SimError> {
-        self.run_batch_traced(std::slice::from_ref(program), config)
-            .pop()
-            .expect("one lane per program")
+        self.run_one(program, config, true, &mut BatchScratch::new())
+            .map(|(result, traces)| (result, traces.expect("traces requested")))
     }
 
-    /// Evaluates a batch of programs in lockstep and returns one result
-    /// per program, in order.
+    /// Runs each program in turn through the caller's scratch and returns
+    /// one result per program, in order — the path for workers that
+    /// evaluate a generation's candidates in groups.
     ///
-    /// Lanes share only read-only derived values (the machine's decode
-    /// and energy tables, the fill-pattern memory hash, the thermal hold
-    /// schedule); every mutable structure — register files, memory image,
-    /// pipeline, cache, predictor, PDN integrator, toggle/energy
-    /// accounting — is per-lane, and each lane executes its iterations in
-    /// exactly the order it would alone. Per-lane results are therefore
-    /// byte-identical to a batch of one, i.e. [`run`](Simulator::run)
-    /// (asserted by the sim property tests). Lanes retire independently when their iteration
-    /// budgets, cycle budgets, or steady-state triggers diverge; an
-    /// erroring lane yields its own `Err` without disturbing neighbours.
-    pub fn run_batch(
-        &self,
-        programs: &[Program],
-        config: &RunConfig,
-    ) -> Vec<Result<RunResult, SimError>> {
-        self.run_batch_with_scratch(programs, config, &mut BatchScratch::new())
-    }
-
-    /// Like [`run_batch`](Simulator::run_batch), reusing the caller's
-    /// scratch across calls — the fast path for workers that evaluate a
-    /// generation's candidates in lane-width groups. The scratch pools
-    /// each lane's instruments and memoizes the batch-shared derived
-    /// values, which is where the cold-evaluation speedup comes from.
+    /// Each program runs to completion before the next starts. The scratch
+    /// recycles the run buffers, the architectural state and the data
+    /// cache, and every run resets them first, so each result is
+    /// byte-identical to [`run`](Simulator::run) on a fresh scratch
+    /// (asserted by the sim property tests). An erroring program yields
+    /// its own `Err` without disturbing the others.
     pub fn run_batch_with_scratch(
         &self,
         programs: &[Program],
         config: &RunConfig,
         scratch: &mut BatchScratch,
     ) -> Vec<Result<RunResult, SimError>> {
-        self.run_batch_inner(programs, config, false, scratch)
-            .into_iter()
-            .map(|entry| entry.map(|(result, _)| result))
+        programs
+            .iter()
+            .map(|program| {
+                self.run_one(program, config, false, scratch)
+                    .map(|(result, _)| result)
+            })
             .collect()
     }
 
-    /// Like [`run_batch`](Simulator::run_batch), additionally capturing
-    /// each lane's per-cycle waveforms.
-    pub fn run_batch_traced(
+    /// One program through `scratch`: set up, step until done, finalize.
+    fn run_one(
         &self,
-        programs: &[Program],
-        config: &RunConfig,
-    ) -> Vec<Result<(RunResult, Traces), SimError>> {
-        self.run_batch_inner(programs, config, true, &mut BatchScratch::new())
-            .into_iter()
-            .map(|entry| entry.map(|(result, traces)| (result, traces.expect("traces requested"))))
-            .collect()
-    }
-
-    fn run_batch_inner(
-        &self,
-        programs: &[Program],
+        program: &Program,
         config: &RunConfig,
         want_traces: bool,
-        batch: &mut BatchScratch,
-    ) -> Vec<Result<(RunResult, Option<Traces>), SimError>> {
-        if batch.lanes.len() < programs.len() {
-            batch
-                .lanes
-                .resize_with(programs.len(), LaneScratch::default);
-        }
-        let reusable = match &batch.thermal {
+        scratch: &mut BatchScratch,
+    ) -> Result<(RunResult, Option<Traces>), SimError> {
+        self.validate(program)?;
+        let reusable = match &scratch.thermal {
             Some(schedule) => schedule.matches(self.machine.thermal, config.thermal_hold_s),
             None => false,
         };
         if !reusable {
-            batch.thermal = Some(ThermalSchedule::new(
+            scratch.thermal = Some(ThermalSchedule::new(
                 self.machine.thermal,
                 config.thermal_hold_s,
             ));
         }
+        scratch.runs += 1;
         let energy_model = EnergyModel::new(&self.machine);
         let BatchScratch {
-            lanes,
-            fill_hashes,
+            buffers,
             thermal,
-            runs,
             steady_hits,
             extrapolated_iterations,
-        } = batch;
+            ..
+        } = scratch;
+
+        // Recycle the pooled instruments where the geometry still matches.
+        let mut state = match buffers.pooled_state.take() {
+            Some(mut pooled) if pooled.mem_size() == self.machine.mem_bytes => {
+                // Registers only: `mem_init.apply` below overwrites the
+                // whole memory image (and marks its hash for a rescan), so
+                // zeroing it first would be a wasted pass.
+                pooled.reset_regs();
+                pooled
+            }
+            _ => ArchState::new(self.machine.mem_bytes),
+        };
+        program.mem_init.apply(&mut state);
+        program.apply_init_instrs(&mut state)?;
+        let cache = match buffers.pooled_cache.take() {
+            Some(mut pooled) if pooled.config() == self.machine.l1d => {
+                pooled.reset();
+                pooled
+            }
+            _ => DataCache::new(self.machine.l1d),
+        };
+
+        let mut run = ProgramRun::new(
+            &self.machine,
+            program,
+            config,
+            &energy_model,
+            buffers,
+            state,
+            cache,
+        );
+        while run.step_iteration() {}
         let schedule = thermal.as_ref().expect("schedule built above");
-
-        // Lane setup: recycle pooled instruments where the geometry still
-        // matches, and seed the initial memory image's content hash from
-        // the shared memo so only the first lane with a given fill pattern
-        // pays the full-image scan. The hash is a pure function of
-        // (buffer size, fill byte), so the seeded value is exactly what
-        // the lane's own rescan would have produced.
-        let mut slots: Vec<Result<LaneRun<'_>, SimError>> = programs
-            .iter()
-            .zip(lanes.iter_mut())
-            .map(|(program, lane_scratch)| {
-                self.validate(program)?;
-                *runs += 1;
-                let mut state = match lane_scratch.pooled_state.take() {
-                    Some(mut pooled) if pooled.mem_size() == self.machine.mem_bytes => {
-                        // Registers only: `mem_init.apply` below overwrites
-                        // the whole memory image, so zeroing it first would
-                        // be a wasted pass.
-                        pooled.reset_regs();
-                        pooled
-                    }
-                    _ => ArchState::new(self.machine.mem_bytes),
-                };
-                program.mem_init.apply(&mut state);
-                let fill_byte = program.mem_init.fill_byte();
-                match fill_hashes
-                    .iter()
-                    .find(|&&(len, byte, _)| len == self.machine.mem_bytes && byte == fill_byte)
-                {
-                    Some(&(_, _, hash)) => state.seed_mem_hash(hash),
-                    None => {
-                        let hash = state.mem_hash();
-                        fill_hashes.push((self.machine.mem_bytes, fill_byte, hash));
-                    }
-                }
-                program.apply_init_instrs(&mut state)?;
-                let cache = match lane_scratch.pooled_cache.take() {
-                    Some(mut pooled) if pooled.config() == self.machine.l1d => {
-                        pooled.reset();
-                        pooled
-                    }
-                    _ => DataCache::new(self.machine.l1d),
-                };
-                Ok(LaneRun::new(
-                    &self.machine,
-                    program,
-                    config,
-                    &energy_model,
-                    lane_scratch,
-                    state,
-                    cache,
-                ))
-            })
-            .collect();
-
-        // Lockstep sweeps: one loop-body iteration per active lane per
-        // sweep. Lanes retire independently (iteration/cycle budget or
-        // steady-state confirmation), and a lane's iteration sequence is
-        // never interleaved *within* itself, so the sweep order cannot
-        // affect any lane's outcome.
-        loop {
-            let mut active = false;
-            for lane in slots.iter_mut().flatten() {
-                if !lane.halted {
-                    lane.step_iteration();
-                    active = true;
-                }
-            }
-            if !active {
-                break;
-            }
-        }
-
-        slots
-            .into_iter()
-            .map(|slot| {
-                let lane = slot?;
-                let (result, traces, tally) = lane.finalize(want_traces, schedule);
-                *steady_hits += tally.steady_hit as u64;
-                *extrapolated_iterations += tally.extrapolated;
-                Ok((result, traces))
-            })
-            .collect()
+        let (result, traces, tally) = run.finalize(want_traces, schedule);
+        *steady_hits += tally.steady_hit as u64;
+        *extrapolated_iterations += tally.extrapolated;
+        Ok((result, traces))
     }
 
     fn validate(&self, program: &Program) -> Result<(), SimError> {
@@ -532,21 +449,21 @@ impl IterTally {
     }
 }
 
-/// Per-run fast-path statistics handed back by [`LaneRun::finalize`].
-struct LaneTally {
+/// Per-run fast-path statistics handed back by [`ProgramRun::finalize`].
+struct RunTally {
     steady_hit: bool,
     extrapolated: u64,
 }
 
-/// One candidate's complete in-flight execution state — the "lane" of the
-/// structure-of-arrays core. A batch drives N of them in lockstep, one
-/// [`step_iteration`](LaneRun::step_iteration) per lane per sweep.
-struct LaneRun<'a> {
+/// One program's complete in-flight execution state, from setup through
+/// [`step_iteration`](ProgramRun::step_iteration) to
+/// [`finalize`](ProgramRun::finalize).
+struct ProgramRun<'a> {
     machine: &'a MachineConfig,
     program: &'a Program,
     config: &'a RunConfig,
     energy_model: &'a EnergyModel,
-    scratch: &'a mut LaneScratch,
+    scratch: &'a mut RunBuffers,
     state: ArchState,
     pipeline: Pipeline,
     cache: DataCache,
@@ -565,23 +482,20 @@ struct LaneRun<'a> {
     snap_attempts: u32,
     steady: Option<(usize, u64)>,
     iterations: u64,
-    /// The lane has retired (budget or steady-state) and must not be
-    /// stepped again.
-    halted: bool,
 }
 
-impl<'a> LaneRun<'a> {
-    /// Builds a lane around prepared architectural state (memory init and
+impl<'a> ProgramRun<'a> {
+    /// Builds a run around prepared architectural state (memory init and
     /// init block already applied) and a fresh-or-reset cache.
     fn new(
         machine: &'a MachineConfig,
         program: &'a Program,
         config: &'a RunConfig,
         energy_model: &'a EnergyModel,
-        scratch: &'a mut LaneScratch,
+        scratch: &'a mut RunBuffers,
         state: ArchState,
         cache: DataCache,
-    ) -> LaneRun<'a> {
+    ) -> ProgramRun<'a> {
         let pipeline = Pipeline::new(machine);
         let predictor = BranchPredictor::new(program.body.len());
 
@@ -615,7 +529,7 @@ impl<'a> LaneRun<'a> {
             scratch.spare.push(old.recs);
         }
 
-        LaneRun {
+        ProgramRun {
             machine,
             program,
             config,
@@ -633,26 +547,23 @@ impl<'a> LaneRun<'a> {
             snap_attempts: 0,
             steady: None,
             iterations: 0,
-            halted: false,
         }
     }
 
-    /// Executes one loop-body iteration plus its boundary bookkeeping,
-    /// retiring the lane when an iteration/cycle budget or the steady-state
-    /// detector ends the run. One call is one pass of a lane's iteration
-    /// loop, so interleaving calls across lanes cannot reorder anything
-    /// within a lane.
-    fn step_iteration(&mut self) {
-        if self.halted || self.iterations >= self.config.max_iterations {
-            self.halted = true;
-            return;
+    /// Executes one loop-body iteration plus its boundary bookkeeping.
+    /// Returns `false` once the run is over: the iteration budget was
+    /// already spent, or this iteration hit the cycle budget or confirmed
+    /// a steady-state period.
+    fn step_iteration(&mut self) -> bool {
+        if self.iterations >= self.config.max_iterations {
+            return false;
         }
         self.iterations += 1;
         let iter_ref = self.pipeline.fetch_cycle();
         if self.recording {
             self.scratch.cur_echo.clear();
         }
-        let LaneScratch {
+        let RunBuffers {
             ops,
             cycle_energy_pj,
             cur_echo,
@@ -720,8 +631,7 @@ impl<'a> LaneRun<'a> {
             }
 
             if self.pipeline.elapsed_cycles() >= self.config.max_cycles {
-                self.halted = true;
-                return;
+                return false;
             }
         }
 
@@ -772,8 +682,7 @@ impl<'a> LaneRun<'a> {
                         let d = self.scratch.cur_snap.ref_cycle - self.scratch.prev_snap.ref_cycle;
                         if d >= 1 {
                             self.steady = Some((k, d));
-                            self.halted = true;
-                            return;
+                            return false;
                         }
                     }
                     self.snap_attempts += 1;
@@ -817,18 +726,19 @@ impl<'a> LaneRun<'a> {
                 }
             }
         }
+        true
     }
 
     /// Replays the confirmed steady block analytically, integrates power,
     /// thermal, and PDN, and assembles the [`RunResult`]. Consumes the
-    /// lane, returning its instruments to the scratch pool for the next
-    /// run through this lane slot.
+    /// run, returning its instruments to the scratch pool for the next
+    /// run.
     fn finalize(
         self,
         want_traces: bool,
         schedule: &ThermalSchedule,
-    ) -> (RunResult, Option<Traces>, LaneTally) {
-        let LaneRun {
+    ) -> (RunResult, Option<Traces>, RunTally) {
+        let ProgramRun {
             machine,
             program,
             config,
@@ -976,8 +886,9 @@ impl<'a> LaneRun<'a> {
         // Thermal: hold the measured whole-chip power on the RC model (the
         // paper's temperature experiments run a virus instance on every
         // core and read the chip sensor). The precomputed schedule replays
-        // `ThermalModel::hold` bit-identically; batches share one schedule
-        // because it depends only on the machine and the hold duration.
+        // `ThermalModel::hold` bit-identically; runs through one scratch
+        // share it because it depends only on the machine and the hold
+        // duration.
         let temperature_c = schedule.hold_from_ambient(chip_power_w);
         let steady_temp_c = machine.thermal.steady_state_c(chip_power_w);
         let voltage = pdn.map(|pdn| pdn.stats());
@@ -1017,15 +928,15 @@ impl<'a> LaneRun<'a> {
             class_counts,
         };
 
-        // Return the instruments to the pool; the batch path recycles
-        // them (reset + refill) instead of reallocating next run.
+        // Return the instruments to the pool; the next run through this
+        // scratch recycles them (reset + refill) instead of reallocating.
         scratch.pooled_state = Some(state);
         scratch.pooled_cache = Some(cache);
 
         (
             result,
             traces,
-            LaneTally {
+            RunTally {
                 steady_hit: steady.is_some(),
                 extrapolated,
             },
@@ -1038,7 +949,7 @@ mod tests {
     use super::*;
     use gest_isa::{asm, Program, Template};
 
-    /// One program through the caller's scratch: a batch of one.
+    /// One program through the caller's scratch.
     fn run_reusing(
         simulator: &Simulator,
         program: &Program,
@@ -1358,8 +1269,8 @@ mod tests {
         let simulator = Simulator::new(MachineConfig::cortex_a15());
         let config = RunConfig::default();
         let mut scratch = BatchScratch::new();
-        // Two passes through the same scratch: the second recycles pooled
-        // instruments and the memoized fill hash / thermal schedule.
+        // Two passes through the same scratch: the second recycles the
+        // pooled instruments and the memoized thermal schedule.
         for pass in 0..2 {
             let batched = simulator.run_batch_with_scratch(&programs, &config, &mut scratch);
             for (program, lane) in programs.iter().zip(&batched) {
@@ -1367,29 +1278,8 @@ mod tests {
             }
             assert_eq!(batched[1], Err(SimError::EmptyProgram));
         }
-        assert_eq!(scratch.runs, 6, "error lanes past validation still count");
+        assert_eq!(scratch.runs, 6, "only programs past validation count");
         assert!(scratch.steady_hits >= 4, "steady lanes must still fire");
-    }
-
-    #[test]
-    fn batch_of_one_matches_run_traced() {
-        let program = Template::default_stress().materialize(
-            "t",
-            asm::parse_block("VFMLA v8, v0, v1\nSDIV x1, x1, x2").unwrap(),
-        );
-        let simulator = Simulator::new(MachineConfig::athlon_x4());
-        let config = RunConfig::quick();
-        let batched = simulator.run_batch(std::slice::from_ref(&program), &config);
-        assert_eq!(batched.len(), 1);
-        assert_eq!(
-            batched[0].as_ref().unwrap(),
-            &simulator.run(&program, &config).unwrap()
-        );
-        let traced = simulator.run_batch_traced(std::slice::from_ref(&program), &config);
-        let (result, traces) = traced.into_iter().next().unwrap().unwrap();
-        let (single, single_traces) = simulator.run_traced(&program, &config).unwrap();
-        assert_eq!(result, single);
-        assert_eq!(traces, single_traces);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! For each machine preset, 64 seeded programs — together covering every
 //! opcode, loads and stores, taken and not-taken branches, and divides —
-//! run with the steady-state detector on and off, in lockstep batches of
-//! four. FNV-1a 64 over every `RunResult` field (floats as their bits)
+//! run with the steady-state detector on and off, in batches of four
+//! through one reused scratch. FNV-1a 64 over every `RunResult` field (floats as their bits)
 //! pins the simulator's output itself, not just agreement between two
 //! paths of one build. One traced run per machine pins the per-cycle
 //! power and voltage waveforms as well.
@@ -287,8 +287,8 @@ fn cover(programs: &[Program], mem_bytes: usize, coverage: &mut Coverage) {
     }
 }
 
-/// Digests one machine's corpus with the detector on and off (lockstep
-/// batches of four through one scratch) and one traced run.
+/// Digests one machine's corpus with the detector on and off (batches of
+/// four through one scratch) and one traced run.
 fn digests(machine: &MachineConfig, programs: &[Program]) -> (u64, u64, u64, u64) {
     let simulator = Simulator::new(machine.clone());
     let mut out = [0u64; 2];

@@ -104,7 +104,7 @@ proptest! {
     }
 
     #[test]
-    fn run_batch_is_field_identical_to_single_runs(
+    fn reused_scratch_is_field_identical_to_fresh_scratch_per_program(
         batch in prop::collection::vec(
             prop::collection::vec(
                 prop::sample::select(vec![
@@ -118,8 +118,8 @@ proptest! {
                     "NOP",
                 ]).prop_map(str::to_owned),
                 // Empty bodies are legal inputs here: they must surface as
-                // per-lane `SimError::EmptyProgram` without disturbing
-                // their neighbours.
+                // their own `SimError::EmptyProgram` without disturbing
+                // the programs after them.
                 0..24,
             ),
             1..9,
@@ -130,8 +130,9 @@ proptest! {
             max_cycles: 3000,
             ..RunConfig::default()
         };
-        // One scratch across both machines exercises instrument pooling
-        // under geometry changes, not just the first cold batch.
+        // One scratch across both machines and every program exercises
+        // instrument pooling under geometry changes, not just the first
+        // cold run; each program also runs alone on a fresh scratch.
         let mut scratch = BatchScratch::new();
         for machine in [MachineConfig::cortex_a15(), MachineConfig::athlon_x4()] {
             let programs: Vec<Program> = batch
@@ -169,31 +170,6 @@ proptest! {
             scratch.runs = 0;
             scratch.steady_hits = 0;
             scratch.extrapolated_iterations = 0;
-
-            // Traced batches must match traced singles bit-for-bit too.
-            let traced = simulator.run_batch_traced(&programs, &config);
-            for (program, lane) in programs.iter().zip(traced) {
-                match (lane, simulator.run_traced(program, &config)) {
-                    (Ok((result, traces)), Ok((single, single_traces))) => {
-                        prop_assert_eq!(result, single);
-                        prop_assert_eq!(
-                            traces.power_w.iter().map(|w| w.to_bits()).collect::<Vec<_>>(),
-                            single_traces.power_w.iter().map(|w| w.to_bits()).collect::<Vec<_>>()
-                        );
-                        prop_assert_eq!(
-                            traces.voltage_v.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                            single_traces.voltage_v.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-                        );
-                    }
-                    (Err(lane_err), Err(single_err)) => prop_assert_eq!(lane_err, single_err),
-                    (lane, single) => prop_assert!(
-                        false,
-                        "lane ok={} but single ok={}",
-                        lane.is_ok(),
-                        single.is_ok()
-                    ),
-                }
-            }
         }
     }
 

@@ -327,6 +327,15 @@ fn admission_control_sheds_submissions_with_503_and_retry_after() {
     // One slot, taken: the next submission is shed with 503 and a
     // Retry-After hint while the resident run keeps stepping.
     let long_id = submit(&addr, &long_xml, "");
+    // Resident before the cancel below: a run cancelled while still
+    // pending is never activated, and the activation count checked at
+    // the end would then depend on thread scheduling.
+    wait_until("long run resident", || {
+        status_doc(&addr, &long_id)
+            .get("state")
+            .and_then(Value::as_str)
+            == Some("running")
+    });
     let (status, head, body) = raw_request(&addr, "POST", "/runs", late_xml.as_bytes());
     assert_eq!(status, 503, "{}", String::from_utf8_lossy(&body));
     assert!(
