@@ -76,13 +76,6 @@ pub struct GestConfig {
     /// entry payloads and bookkeeping). Least-recently-used entries are
     /// evicted past the cap.
     pub eval_cache_bytes: usize,
-    /// Surrogate-screened evaluation (off by default). Like `threads` and
-    /// `lane_width`, an execution-policy knob: not serialized to XML and
-    /// never perturbs checkpoint fingerprints — but unlike those, it *does*
-    /// change which candidates are fully simulated, so screened and
-    /// unscreened runs evolve different populations. Same-seed screened
-    /// runs are byte-identical to each other.
-    pub surrogate: crate::surrogate::SurrogateOptions,
 }
 
 /// Default evaluation-cache memory cap: 64 MiB holds hundreds of
@@ -293,7 +286,6 @@ pub struct GestConfigBuilder {
     telemetry: gest_telemetry::Telemetry,
     eval_cache: bool,
     eval_cache_bytes: usize,
-    surrogate: crate::surrogate::SurrogateOptions,
 }
 
 impl GestConfigBuilder {
@@ -320,15 +312,7 @@ impl GestConfigBuilder {
             telemetry: gest_telemetry::Telemetry::disabled(),
             eval_cache: true,
             eval_cache_bytes: DEFAULT_EVAL_CACHE_BYTES,
-            surrogate: crate::surrogate::SurrogateOptions::default(),
         }
-    }
-
-    /// Configures surrogate-screened evaluation (off by default); see
-    /// [`crate::surrogate`].
-    pub fn surrogate(mut self, options: crate::surrogate::SurrogateOptions) -> Self {
-        self.surrogate = options;
-        self
     }
 
     /// Enables or disables the content-addressed evaluation cache
@@ -578,7 +562,6 @@ impl GestConfigBuilder {
             telemetry: self.telemetry,
             eval_cache: self.eval_cache,
             eval_cache_bytes: self.eval_cache_bytes,
-            surrogate: self.surrogate,
         })
     }
 }

@@ -311,14 +311,6 @@ impl EvalCache {
         }
     }
 
-    /// Whether a key is present, *without* refreshing recency or counting
-    /// a hit/miss. Used by surrogate screening to plan which candidates
-    /// would simulate for free — a probe, not a use, so it must not skew
-    /// the cache statistics or the LRU order.
-    pub fn peek(&self, key: &EvalKey) -> bool {
-        self.lock().map.contains_key(key)
-    }
-
     /// Stores a result, evicting least-recently-used entries past the
     /// memory cap. Re-inserting an existing key replaces its value (the
     /// values are identical in practice — measurements are content-pure).

@@ -65,7 +65,6 @@ mod pools;
 mod registry;
 mod runner;
 pub mod stats;
-pub mod surrogate;
 
 pub use checkpoint::{config_fingerprint, Checkpoint, CHECKPOINT_FILE, CHECKPOINT_VERSION};
 pub use config::{GestConfig, GestConfigBuilder};
@@ -85,5 +84,4 @@ pub use measurement::{
 pub use output::{OutputWriter, RealFs, RunIdAllocator, SavedIndividual, SavedPopulation, WriteFs};
 pub use pools::{didt_pool, full_pool, ipc_pool, llc_pool, power_pool};
 pub use registry::{FitnessParams, Registry};
-pub use runner::{GestRun, GestRunBuilder, RunSummary, StepOutcome, SurrogateStats};
-pub use surrogate::{SurrogateMode, SurrogateModel, SurrogateOptions};
+pub use runner::{GestRun, GestRunBuilder, RunSummary, StepOutcome};

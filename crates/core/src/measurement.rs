@@ -83,9 +83,8 @@ pub trait Measurement: Send + Sync + Debug {
 
 thread_local! {
     /// One reusable simulator scratch per evaluation thread: the decode
-    /// buffer, energy waveform, steady-state detector storage, pooled
-    /// instruments and thermal schedule memo survive across the many
-    /// programs a worker measures.
+    /// buffer, energy waveform, steady-state detector storage and thermal
+    /// schedule memo survive across the many programs a worker measures.
     static BATCH_SCRATCH: std::cell::RefCell<gest_sim::BatchScratch> =
         std::cell::RefCell::new(gest_sim::BatchScratch::new());
 }

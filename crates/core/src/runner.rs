@@ -16,16 +16,14 @@ use crate::health;
 use crate::measurement::{MeasuredBatch, Measurement};
 use crate::output::{OutputWriter, RealFs, SavedIndividual, SavedPopulation, WriteFs};
 use crate::registry::{FitnessParams, Registry};
-use crate::surrogate::{SurrogateMode, SurrogateModel, SurrogateOptions, SPEARMAN_GATE};
-use gest_ga::{Candidate, Evaluated, ExplorationSampler, GaEngine, History, Population};
-use gest_isa::features::{featurize, FeatureVec};
+use gest_ga::{Candidate, Evaluated, GaEngine, History, Population};
 use gest_isa::{Gene, Program};
 use gest_telemetry::{Buckets, FieldValue, SpanGuard, Telemetry};
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Latency buckets for `eval.latency_us`: 100µs up to 100s, one decade
@@ -176,12 +174,6 @@ pub struct GestRun {
     /// How persistence writes reach disk ([`RealFs`] by default;
     /// fault-injection harnesses substitute a failing shim here).
     write_fs: Arc<dyn WriteFs>,
-    /// Surrogate screening state; `None` when [`SurrogateMode::Off`].
-    /// Behind a `Mutex` only because [`GestRun::evaluate`] takes `&self`
-    /// across a thread scope — the lock is taken exclusively on the main
-    /// thread (plan before the waves, update after), in canonical
-    /// candidate order, which is what keeps screening deterministic.
-    surrogate: Option<Mutex<SurrogateRuntime>>,
 }
 
 /// Builder for [`GestRun`].
@@ -218,7 +210,6 @@ pub struct GestRunBuilder {
     eval_backend: Option<Arc<dyn EvalBackend>>,
     write_fs: Option<Arc<dyn WriteFs>>,
     lane_width: Option<usize>,
-    surrogate: Option<SurrogateOptions>,
 }
 
 impl GestRunBuilder {
@@ -277,15 +268,6 @@ impl GestRunBuilder {
     /// Any width produces byte-identical search artifacts.
     pub fn lane_width(mut self, lane_width: usize) -> Self {
         self.lane_width = Some(lane_width);
-        self
-    }
-
-    /// Overrides [`GestConfig::surrogate`] — needed for resumed runs,
-    /// whose configuration is read back from `config.xml` (which does not
-    /// carry execution-policy knobs), and for the CLI's `--surrogate`
-    /// flags. See [`crate::surrogate`].
-    pub fn surrogate(mut self, options: SurrogateOptions) -> Self {
-        self.surrogate = Some(options);
         self
     }
 
@@ -355,9 +337,6 @@ impl GestRunBuilder {
                 if let Some(lane_width) = self.lane_width {
                     config.lane_width = lane_width;
                 }
-                if let Some(surrogate) = self.surrogate {
-                    config.surrogate = surrogate;
-                }
                 let fingerprint = config_fingerprint(&config.to_xml().to_string());
                 let measurement = match self.measurement {
                     Some(measurement) => measurement,
@@ -392,9 +371,6 @@ impl GestRunBuilder {
                 }
                 if let Some(lane_width) = self.lane_width {
                     config.lane_width = lane_width;
-                }
-                if let Some(surrogate) = self.surrogate {
-                    config.surrogate = surrogate;
                 }
                 let fingerprint = config_fingerprint(&raw);
                 if checkpoint.config_fingerprint != fingerprint {
@@ -456,74 +432,6 @@ struct ResumeState {
     dir: PathBuf,
     checkpoint: Checkpoint,
     population: Population<Gene>,
-}
-
-/// Resolved surrogate screening state ([`SurrogateMode::Screen`] only).
-#[derive(Debug)]
-struct SurrogateRuntime {
-    model: SurrogateModel,
-    /// Top predicted candidates fully simulated per generation.
-    topk: usize,
-    /// Exploration quota drawn from the screened-out remainder.
-    explore: usize,
-    /// Sample floor before the confidence gate may open.
-    min_samples: u64,
-    /// Cumulative candidates assigned surrogate fitness.
-    screened_total: u64,
-    /// Cumulative candidates fully simulated while screening was active.
-    simulated_total: u64,
-    /// Candidate ids screened in the latest generation — excluded from
-    /// best-individual updates, so only *measured* fitness can become the
-    /// run's best.
-    screened_last: HashSet<u64>,
-    /// Gate state of the latest planned generation.
-    last_gate_open: bool,
-    /// Warmed up yet still below the correlation threshold: the run has
-    /// degraded to 100% full simulation.
-    degraded: bool,
-    /// One-shot latch for the degradation warning.
-    warned_degraded: bool,
-}
-
-/// Per-generation screening decisions, computed coordinator-side on the
-/// main thread *before* any evaluation wave is dispatched — backends
-/// (local threads or distributed workers) only ever see the candidates
-/// that survived screening.
-struct ScreenPlan {
-    /// Feature vector per candidate index.
-    features: Vec<FeatureVec>,
-    /// Raw model prediction per candidate index.
-    predictions: Vec<f64>,
-    /// Whether the predictions came from a fitted model; rank-correlation
-    /// pairs are recorded only then (an unfitted model predicts a
-    /// constant, which would poison the Spearman window with ties).
-    fitted: bool,
-    /// Whether the confidence gate allowed screening this generation.
-    gate_open: bool,
-    /// `(candidate index, calibrated surrogate fitness)` for every
-    /// candidate excused from simulation.
-    skipped: Vec<(usize, f64)>,
-    /// Index set of `skipped`.
-    skipped_set: HashSet<usize>,
-}
-
-/// Point-in-time surrogate screening counters (see
-/// [`GestRun::surrogate_stats`]).
-#[derive(Debug, Clone, Copy)]
-pub struct SurrogateStats {
-    /// Rolling Spearman rank correlation between predicted and measured
-    /// fitness; `None` until enough out-of-sample pairs exist.
-    pub spearman: Option<f64>,
-    /// Cumulative candidates assigned surrogate fitness instead of
-    /// simulation.
-    pub screened: u64,
-    /// Cumulative candidates fully simulated (and used as training
-    /// pairs).
-    pub simulated: u64,
-    /// Whether the confidence gate was open at the latest generation.
-    pub gate_open: bool,
-    /// Training observations accumulated by the model.
-    pub samples: u64,
 }
 
 impl GestRun {
@@ -631,58 +539,6 @@ impl GestRun {
                 .with_lane_width(config.lane_width),
             )
         });
-        // Surrogate screening state. On resume, the sidecar written at the
-        // last checkpoint restores the model bit-exactly (the resumed run
-        // continues byte-identically to an uninterrupted one); when it is
-        // missing or stale, the model warm-starts from the restored
-        // population's measured pairs instead (best-effort — the search
-        // stays valid, only the screening schedule may differ).
-        let surrogate = match config.surrogate.mode {
-            SurrogateMode::Off => None,
-            SurrogateMode::Screen => {
-                let population_size = config.ga.population_size;
-                let topk = if config.surrogate.topk == 0 {
-                    (population_size / 4).max(1)
-                } else {
-                    config.surrogate.topk
-                };
-                let model = match &resume {
-                    None => SurrogateModel::new(),
-                    Some(state) => {
-                        SurrogateModel::load(&state.dir, fingerprint, state.checkpoint.generation)
-                            .unwrap_or_else(|| {
-                                let mut model = SurrogateModel::new();
-                                for individual in &state.population.individuals {
-                                    if individual.fitness.is_finite() {
-                                        model.observe(
-                                            &featurize(&individual.genes),
-                                            individual.fitness,
-                                        );
-                                    }
-                                }
-                                model.fit();
-                                telemetry.point(
-                                    "surrogate.warmstart",
-                                    &[("samples", model.samples().into())],
-                                );
-                                model
-                            })
-                    }
-                };
-                Some(Mutex::new(SurrogateRuntime {
-                    model,
-                    topk,
-                    explore: config.surrogate.explore,
-                    min_samples: 2 * population_size as u64,
-                    screened_total: 0,
-                    simulated_total: 0,
-                    screened_last: HashSet::new(),
-                    last_gate_open: false,
-                    degraded: false,
-                    warned_degraded: false,
-                }))
-            }
-        };
         let (history, current, best, generation) = match resume {
             None => (History::new(), None, None, 0),
             Some(state) => {
@@ -719,30 +575,6 @@ impl GestRun {
             eval_cache,
             backend,
             write_fs: write_fs.unwrap_or_else(|| Arc::new(RealFs)),
-            surrogate,
-        })
-    }
-
-    /// Locks the surrogate runtime; `None` when screening is off. Poison
-    /// recovery mirrors the eval cache: the runtime is only ever locked on
-    /// the main thread, so a poisoned lock means an earlier panic already
-    /// unwound — the state is still the last consistent snapshot.
-    fn surrogate_lock(&self) -> Option<MutexGuard<'_, SurrogateRuntime>> {
-        self.surrogate
-            .as_ref()
-            .map(|runtime| runtime.lock().unwrap_or_else(PoisonError::into_inner))
-    }
-
-    /// Point-in-time surrogate screening counters, or `None` when
-    /// screening is off.
-    pub fn surrogate_stats(&self) -> Option<SurrogateStats> {
-        let runtime = self.surrogate_lock()?;
-        Some(SurrogateStats {
-            spearman: runtime.model.spearman(),
-            screened: runtime.screened_total,
-            simulated: runtime.simulated_total,
-            gate_open: runtime.last_gate_open,
-            samples: runtime.model.samples(),
         })
     }
 
@@ -845,10 +677,7 @@ impl GestRun {
         let population =
             Arc::new(self.evaluate(self.generation, candidates, generation_span.id())?);
         self.history.record(&population);
-        // Only *measured* fitness may become the run's best: a screened
-        // candidate carries calibrated surrogate fitness, which steers
-        // selection but must never be reported as an achieved result.
-        if let Some(best) = self.measured_best(&population) {
+        if let Some(best) = population.best() {
             let replace = self.best.as_ref().is_none_or(|b| best.fitness > b.fitness);
             if replace {
                 self.best = Some(best.clone());
@@ -921,7 +750,7 @@ impl GestRun {
     /// end-of-run drain. Telemetry-only: nothing here is read back by the
     /// GA, so the evolved result is independent of whether it runs.
     fn emit_health(&self, population: &Population<Gene>, report: &health::HealthReport) {
-        let mut fields: Vec<(&str, FieldValue)> = vec![
+        let fields: Vec<(&str, FieldValue)> = vec![
             ("generation", u64::from(report.generation).into()),
             ("diversity", report.diversity.into()),
             (
@@ -938,9 +767,6 @@ impl GestRun {
                 self.telemetry.counter_value("eval.retries").into(),
             ),
         ];
-        if let Some(runtime) = self.surrogate_lock() {
-            fields.push(("surrogate_gate_closed", u64::from(runtime.degraded).into()));
-        }
         self.telemetry.point("health", &fields);
         self.telemetry
             .set_gauge("health.diversity", report.diversity);
@@ -1039,29 +865,6 @@ impl GestRun {
                     "gest: eval-cache sidecar write failed ({error}); \
                      resume will start with a cold cache"
                 );
-            }
-        }
-        // The surrogate sidecar is resume-critical for byte-identity (a
-        // resumed screened run must continue with the exact model state an
-        // uninterrupted run would have), so it gets the same retry-once
-        // then propagate treatment as the manifest.
-        if let Some(runtime) = self.surrogate_lock() {
-            let save = || {
-                runtime.model.save_via(
-                    writer.dir(),
-                    &*self.write_fs,
-                    self.config_fingerprint,
-                    self.generation,
-                )
-            };
-            if let Err(first) = save() {
-                self.telemetry.add_counter("surrogate.write_failures", 1);
-                eprintln!(
-                    "gest: surrogate sidecar write failed ({first}); retrying once at \
-                     generation {}",
-                    self.generation
-                );
-                save()?;
             }
         }
         self.telemetry.add_counter("checkpoint.writes", 1);
@@ -1166,8 +969,7 @@ impl GestRun {
     /// (content-purity), so dedup only saves work, never changes it.
     ///
     /// Each candidate's gene content is hashed once here (when the cache
-    /// is on) and the hashes are shared by dedup, screening and the cache
-    /// probes. Evaluation fills only `(fitness, measurements)` slots; the
+    /// is on) and the hashes are shared by dedup and the cache probes. Evaluation fills only `(fitness, measurements)` slots; the
     /// candidates' ids, parents and genes move into the population at the
     /// end, so no genome is copied.
     fn evaluate(
@@ -1183,18 +985,7 @@ impl GestRun {
                 .collect()
         });
         let hashes = hashes.as_deref();
-        let (mut leaders, mut followers, leader_of) = split_duplicates(candidates.len(), hashes);
-        // Surrogate screening happens here — coordinator-side, before any
-        // wave is dispatched — so remote backends only ever receive the
-        // candidates that survived, and the screening decision sequence is
-        // a pure function of the checkpointed search state.
-        let plan = self.surrogate_plan(generation, &candidates, hashes, &leaders, &leader_of);
-        if let Some(plan) = &plan {
-            if !plan.skipped_set.is_empty() {
-                leaders.retain(|index| !plan.skipped_set.contains(index));
-                followers.retain(|index| !plan.skipped_set.contains(index));
-            }
-        }
+        let (leaders, followers) = split_duplicates(candidates.len(), hashes);
         let eval_span = self.telemetry.span_under(
             parent_span,
             "evaluate",
@@ -1208,17 +999,6 @@ impl GestRun {
         );
 
         let results: Vec<EvalSlot> = candidates.iter().map(|_| OnceLock::new()).collect();
-        if let Some(plan) = &plan {
-            // Screened candidates were never measured; NaN marks the
-            // metrics as absent (the same convention as quarantine)
-            // without inventing values.
-            for &(index, fitness) in &plan.skipped {
-                let unmeasured = vec![f64::NAN; self.measurement.metrics().len()];
-                if results[index].set(Ok((fitness, unmeasured))).is_err() {
-                    unreachable!("screened slots are filled before any wave runs");
-                }
-            }
-        }
         let ctx = EvalContext {
             generation,
             candidates: &candidates,
@@ -1246,197 +1026,10 @@ impl GestRun {
                 measurements,
             });
         }
-        if let Some(plan) = plan {
-            self.surrogate_update(generation, &individuals, plan);
-        }
         Ok(Population {
             generation,
             individuals,
         })
-    }
-
-    /// Plans this generation's surrogate screening: featurizes and ranks
-    /// every candidate, then — when the confidence gate is open — excuses
-    /// all cache-miss dedup leaders outside the predicted top-K and a
-    /// seeded exploration quota (plus their duplicate followers) from
-    /// simulation, assigning them calibrated surrogate fitness.
-    ///
-    /// Runs on the main thread before any wave. Everything it consumes —
-    /// candidate order, model state, the exploration stream seeded by
-    /// `(run seed, generation)` — is part of (or derived from) the
-    /// checkpointed search state, so the plan is identical across thread
-    /// counts, lane widths, and resume.
-    fn surrogate_plan(
-        &self,
-        generation: u32,
-        candidates: &[Candidate<Gene>],
-        hashes: Option<&[u128]>,
-        leaders: &[usize],
-        leader_of: &[usize],
-    ) -> Option<ScreenPlan> {
-        let mut runtime = self.surrogate_lock()?;
-        let runtime = &mut *runtime;
-        let features: Vec<FeatureVec> = candidates
-            .iter()
-            .map(|candidate| featurize(&candidate.genes))
-            .collect();
-        let predictions: Vec<f64> = features
-            .iter()
-            .map(|feature| runtime.model.predict(feature))
-            .collect();
-        let mut plan = ScreenPlan {
-            fitted: runtime.model.samples() > 0,
-            gate_open: runtime.model.gate_open(runtime.min_samples),
-            features,
-            predictions,
-            skipped: Vec::new(),
-            skipped_set: HashSet::new(),
-        };
-        runtime.last_gate_open = plan.gate_open;
-        runtime.degraded = !plan.gate_open && runtime.model.samples() >= runtime.min_samples;
-        if runtime.degraded {
-            self.telemetry.add_counter("surrogate.gate_closed", 1);
-            if !runtime.warned_degraded {
-                runtime.warned_degraded = true;
-                eprintln!(
-                    "gest: surrogate rank correlation stayed below {SPEARMAN_GATE} after \
-                     warmup (generation {generation}); screening is disabled and every \
-                     candidate is fully simulated until the model recovers"
-                );
-            }
-        }
-        if !plan.gate_open {
-            return Some(plan);
-        }
-        // Candidates the cache would simulate for free are never worth a
-        // prediction; screening only competes against real simulations.
-        let pool: Vec<usize> = leaders
-            .iter()
-            .copied()
-            .filter(|&index| match (&self.eval_cache, hashes) {
-                (Some(cache), Some(hashes)) => !cache.peek(&self.eval_key(hashes[index])),
-                _ => true,
-            })
-            .collect();
-        if pool.len() <= runtime.topk + runtime.explore {
-            return Some(plan);
-        }
-        let mut ranked = pool.clone();
-        ranked.sort_by(|&a, &b| {
-            plan.predictions[b]
-                .total_cmp(&plan.predictions[a])
-                .then(a.cmp(&b))
-        });
-        let keep: HashSet<usize> = ranked[..runtime.topk].iter().copied().collect();
-        // `pool` is index-ascending, so `rest` is too — the canonical
-        // order the reservoir stream is defined over.
-        let rest: Vec<usize> = pool
-            .iter()
-            .copied()
-            .filter(|index| !keep.contains(index))
-            .collect();
-        let explored: HashSet<usize> = ExplorationSampler::new(self.config.seed, generation)
-            .reservoir(&rest, runtime.explore)
-            .into_iter()
-            .collect();
-        for &index in &rest {
-            if explored.contains(&index) {
-                continue;
-            }
-            plan.skipped
-                .push((index, runtime.model.calibrated(plan.predictions[index])));
-            plan.skipped_set.insert(index);
-        }
-        // A follower duplicates its leader's genes, so it shares the
-        // leader's fate: screened leaders would leave their followers
-        // with nothing to hit in the cache.
-        for (index, &leader) in leader_of.iter().enumerate() {
-            if leader != index && plan.skipped_set.contains(&leader) {
-                plan.skipped
-                    .push((index, runtime.model.calibrated(plan.predictions[index])));
-                plan.skipped_set.insert(index);
-            }
-        }
-        Some(plan)
-    }
-
-    /// Folds a completed generation back into the surrogate: records
-    /// out-of-sample `(predicted, measured)` pairs, trains on every
-    /// measured finite-fitness candidate (cache hits included — a hit is
-    /// a real measurement), refits the weights once, and emits the
-    /// screening telemetry. Main thread, canonical index order.
-    fn surrogate_update(&self, generation: u32, individuals: &[Evaluated<Gene>], plan: ScreenPlan) {
-        let Some(mut runtime) = self.surrogate_lock() else {
-            return;
-        };
-        let runtime = &mut *runtime;
-        runtime.screened_last.clear();
-        let mut simulated = 0u64;
-        for (index, evaluated) in individuals.iter().enumerate() {
-            if plan.skipped_set.contains(&index) {
-                runtime.screened_last.insert(evaluated.id);
-                continue;
-            }
-            // Quarantined candidates carry -inf fitness and NaN
-            // measurements; they are excluded from training.
-            if !evaluated.fitness.is_finite() {
-                continue;
-            }
-            if plan.fitted {
-                runtime
-                    .model
-                    .record_pair(plan.predictions[index], evaluated.fitness);
-            }
-            runtime
-                .model
-                .observe(&plan.features[index], evaluated.fitness);
-            simulated += 1;
-        }
-        runtime.model.fit();
-        runtime.screened_total += plan.skipped.len() as u64;
-        runtime.simulated_total += simulated;
-        if self.telemetry.is_enabled() {
-            let screen_rate = plan.skipped.len() as f64 / individuals.len().max(1) as f64;
-            let spearman = runtime.model.spearman();
-            let mut fields: Vec<(&str, FieldValue)> = vec![
-                ("generation", u64::from(generation).into()),
-                ("screened", (plan.skipped.len() as u64).into()),
-                ("simulated", simulated.into()),
-                ("gate", u64::from(plan.gate_open).into()),
-                ("screen_rate", screen_rate.into()),
-            ];
-            if let Some(rho) = spearman {
-                fields.push(("spearman", rho.into()));
-            }
-            self.telemetry.point("surrogate", &fields);
-            self.telemetry
-                .add_counter("surrogate.screened", plan.skipped.len() as u64);
-            self.telemetry.add_counter("surrogate.simulated", simulated);
-            self.telemetry
-                .set_gauge("surrogate.screen_rate", screen_rate);
-            self.telemetry
-                .set_gauge("surrogate.gate_open", f64::from(u8::from(plan.gate_open)));
-            if let Some(rho) = spearman {
-                self.telemetry.set_gauge("surrogate.spearman", rho);
-            }
-        }
-    }
-
-    /// The best individual of a population among those that were actually
-    /// measured this generation — identical to [`Population::best`] when
-    /// screening is off or nothing was screened.
-    fn measured_best<'pop>(
-        &self,
-        population: &'pop Population<Gene>,
-    ) -> Option<&'pop Evaluated<Gene>> {
-        match self.surrogate_lock() {
-            Some(runtime) if !runtime.screened_last.is_empty() => population
-                .individuals
-                .iter()
-                .filter(|evaluated| !runtime.screened_last.contains(&evaluated.id))
-                .reduce(|best, x| if x.fitness > best.fitness { x } else { best }),
-            _ => population.best(),
-        }
     }
 
     /// Fans one wave of candidate positions out across the backend's
@@ -1752,32 +1345,23 @@ struct Worker {
 
 /// Splits candidate indices into dedup leaders (first occurrence of
 /// each gene content) and followers (in-generation duplicates, served
-/// from the cache after their leader's wave), plus a `leader_of`
-/// mapping (`leader_of[i] == i` for leaders) that surrogate screening
-/// uses to keep a follower's fate consistent with its leader's.
-/// `hashes` is `None` when the cache is off: there is nothing to serve
+/// from the cache after their leader's wave). `hashes` is `None` when the cache is off: there is nothing to serve
 /// followers from, so everything leads.
-fn split_duplicates(count: usize, hashes: Option<&[u128]>) -> (Vec<usize>, Vec<usize>, Vec<usize>) {
-    let mut leader_of: Vec<usize> = (0..count).collect();
+fn split_duplicates(count: usize, hashes: Option<&[u128]>) -> (Vec<usize>, Vec<usize>) {
     let Some(hashes) = hashes else {
-        return ((0..count).collect(), Vec::new(), leader_of);
+        return ((0..count).collect(), Vec::new());
     };
-    let mut seen: HashMap<u128, usize> = HashMap::with_capacity(count);
+    let mut seen: HashSet<u128> = HashSet::with_capacity(count);
     let mut leaders = Vec::with_capacity(count);
     let mut followers = Vec::new();
     for (index, &hash) in hashes.iter().enumerate() {
-        match seen.entry(hash) {
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(index);
-                leaders.push(index);
-            }
-            std::collections::hash_map::Entry::Occupied(slot) => {
-                leader_of[index] = *slot.get();
-                followers.push(index);
-            }
+        if seen.insert(hash) {
+            leaders.push(index);
+        } else {
+            followers.push(index);
         }
     }
-    (leaders, followers, leader_of)
+    (leaders, followers)
 }
 
 #[cfg(test)]
@@ -2076,36 +1660,6 @@ mod tests {
         assert_eq!(quarantined.id, 2);
         assert_eq!(quarantined.fitness, QUARANTINE_FITNESS);
         assert!(quarantined.measurements.iter().all(|m| m.is_nan()));
-    }
-
-    #[test]
-    fn screened_candidates_keep_their_identity_and_genes() {
-        let mut config = tiny_config("cortex-a15", "power");
-        config.ga.population_size = 10;
-        config.generations = 12;
-        config.seed = 777;
-        config.surrogate = SurrogateOptions {
-            mode: SurrogateMode::Screen,
-            topk: 3,
-            explore: 2,
-        };
-        let mut run = build_run(config);
-        let mut screened_generations = 0;
-        while !run.is_complete() {
-            let (candidates, population) = step_by_hand(&mut run);
-            assert_assembled(&candidates, &population);
-            let runtime = run.surrogate_lock().unwrap();
-            for individual in &population.individuals {
-                if runtime.screened_last.contains(&individual.id) {
-                    assert!(individual.measurements.iter().all(|m| m.is_nan()));
-                }
-            }
-            screened_generations += usize::from(!runtime.screened_last.is_empty());
-        }
-        assert!(
-            screened_generations > 0,
-            "the gate must open within the budget for this test to mean anything"
-        );
     }
 
     #[test]
@@ -2437,10 +1991,9 @@ mod tests {
 
         let run = build_run(tiny_config("cortex-a7", "power"));
         let hashes: Vec<u128> = candidates.iter().map(|c| genes_hash(&c.genes)).collect();
-        let (leaders, followers, leader_of) = split_duplicates(candidates.len(), Some(&hashes));
+        let (leaders, followers) = split_duplicates(candidates.len(), Some(&hashes));
         assert_eq!(leaders, vec![0, 1]);
         assert_eq!(followers, vec![2, 3]);
-        assert_eq!(leader_of, vec![0, 1, 0, 1]);
 
         let population = run.evaluate(0, candidates.clone(), None).unwrap();
         assert_assembled(&candidates, &population);
@@ -2459,10 +2012,9 @@ mod tests {
             .eval_cache(false)
             .build()
             .unwrap();
-        let (leaders, followers, leader_of) = split_duplicates(candidates.len(), None);
-        assert_eq!(leaders.len(), 4);
+        let (leaders, followers) = split_duplicates(candidates.len(), None);
+        assert_eq!(leaders, vec![0, 1, 2, 3], "without a cache all lead");
         assert!(followers.is_empty());
-        assert_eq!(leader_of, vec![0, 1, 2, 3], "without a cache all lead");
         let plain = uncached.evaluate(0, candidates.clone(), None).unwrap();
         assert_assembled(&candidates, &plain);
         assert_eq!(

@@ -134,7 +134,7 @@ proptest! {
         let restored = EvalCache::decode(&flipped, FP, CAP);
         prop_assert_eq!(restored.stats().corrupt_dropped, 1);
         prop_assert_eq!(restored.stats().entries, spans.len() - 1);
-        prop_assert!(!restored.peek(&lost));
+        prop_assert!(restored.get(&lost).is_none());
         for (_, kept) in spans.iter().filter(|(_, key)| *key != lost) {
             prop_assert_eq!(measurement_bits(&restored, kept), measurement_bits(&original, kept));
         }

@@ -50,7 +50,6 @@
 
 mod config;
 mod engine;
-mod explore;
 mod hash;
 mod history;
 mod ops;
@@ -58,7 +57,6 @@ mod population;
 
 pub use config::{CrossoverOp, GaConfig, GaConfigError, SelectionOp};
 pub use engine::{Candidate, EngineState, GaEngine, Genetics, OpCounts};
-pub use explore::ExplorationSampler;
 pub use hash::{canonical_hash_bytes, Fnv128};
 pub use history::{GenerationSummary, History};
 pub use ops::{crossover_one_point, crossover_uniform, mutate, tournament_select};

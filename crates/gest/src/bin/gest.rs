@@ -5,12 +5,10 @@
 //! ```text
 //! gest run <config.xml> [--trace[=PATH]] [--progress] [--checkpoint-every=N]
 //!          [--no-eval-cache] [--dir=PATH] [--lane-width=N]
-//!          [--surrogate=off|screen] [--surrogate-topk=K] [--surrogate-explore=Q]
 //!          [--workers=ADDR,ADDR] [--local-fallback[=N]] [--status-addr=HOST:PORT]
 //!                                  run a GA search from a main configuration
 //! gest resume <output_dir> [--trace[=PATH]] [--progress] [--no-eval-cache]
-//!          [--lane-width=N] [--surrogate=off|screen] [--surrogate-topk=K]
-//!          [--surrogate-explore=Q] [--workers=ADDR,ADDR] [--local-fallback[=N]]
+//!          [--lane-width=N] [--workers=ADDR,ADDR] [--local-fallback[=N]]
 //!          [--status-addr=HOST:PORT]
 //!                                  continue a checkpointed run after a crash
 //! gest serve --listen=ADDR [--workers=A,B] [--max-active=N] [--state-dir=PATH]
@@ -34,7 +32,7 @@
 use gest::chaos::{run_serve_soak, run_soak, ServeSoakOptions, SoakOptions};
 use gest::core::{
     stats, EvalBackend, GestConfig, GestError, GestRun, LocalBackend, Registry, RunIdAllocator,
-    SavedPopulation, StepOutcome, SurrogateMode, SurrogateOptions,
+    SavedPopulation, StepOutcome,
 };
 use gest::dist::{hostname, Coordinator, CoordinatorOptions, Worker};
 use gest::isa::InstrClass;
@@ -101,13 +99,6 @@ fn print_usage() {
          directory under ./gest_runs is allocated)\n    \
          --lane-width=N                 batch N candidates per simulator call\n                                   \
          (wall-clock only; results are identical)\n    \
-         --surrogate=off|screen         surrogate screening: simulate only the\n                                   \
-         predicted top-K of each bred generation\n                                   \
-         plus an exploration quota (default off)\n    \
-         --surrogate-topk=K             fully simulated per generation when\n                                   \
-         screening (default: population/4)\n    \
-         --surrogate-explore=Q          exploration quota kept fully simulated\n                                   \
-         while screening (default 2)\n    \
          --workers=ADDR,ADDR            evaluate on remote `gest worker` processes\n    \
          --local-fallback[=N]           degrade to this host after N consecutive\n                                   \
          total-fleet failures (default 3)\n    \
@@ -118,9 +109,6 @@ fn print_usage() {
          --progress                     live per-generation progress on stderr\n    \
          --no-eval-cache                disable the content-addressed result cache\n    \
          --lane-width=N                 batch N candidates per simulator call\n    \
-         --surrogate=off|screen --surrogate-topk=K --surrogate-explore=Q\n                                   \
-         surrogate screening, as for `gest run`\n                                   \
-         (the model resumes from surrogate.bin)\n    \
          --workers=ADDR,ADDR            evaluate on remote `gest worker` processes\n    \
          --local-fallback[=N]           degrade to this host after N consecutive\n                                   \
          total-fleet failures (default 3)\n    \
@@ -178,26 +166,6 @@ struct SearchFlags {
     workers: Vec<String>,
     local_fallback_after: Option<u32>,
     status_addr: Option<String>,
-    surrogate: Option<SurrogateMode>,
-    surrogate_topk: Option<usize>,
-    surrogate_explore: Option<usize>,
-}
-
-/// Builds the run-level surrogate options from search flags, or `None`
-/// when `--surrogate` was not given (the config default, off, applies).
-fn surrogate_options(flags: &SearchFlags) -> Option<SurrogateOptions> {
-    let mode = flags.surrogate?;
-    let mut options = SurrogateOptions {
-        mode,
-        ..SurrogateOptions::default()
-    };
-    if let Some(topk) = flags.surrogate_topk {
-        options.topk = topk;
-    }
-    if let Some(explore) = flags.surrogate_explore {
-        options.explore = explore;
-    }
-    Some(options)
 }
 
 fn parse_search_flags(args: &[String], allow_checkpoint: bool) -> Result<SearchFlags, GestError> {
@@ -215,30 +183,6 @@ fn parse_search_flags(args: &[String], allow_checkpoint: bool) -> Result<SearchF
                 return Err(GestError::Config("lane width must be at least 1".into()));
             }
             flags.lane_width = Some(width);
-        } else if let Some(mode) = arg.strip_prefix("--surrogate=") {
-            flags.surrogate = Some(match mode {
-                "off" => SurrogateMode::Off,
-                "screen" => SurrogateMode::Screen,
-                other => {
-                    return Err(GestError::Config(format!(
-                        "bad surrogate mode {other:?} (want off or screen)"
-                    )))
-                }
-            });
-        } else if let Some(n) = arg.strip_prefix("--surrogate-topk=") {
-            let topk: usize = n.parse().map_err(|_| {
-                GestError::Config(format!("bad surrogate top-K {n:?} (want a number ≥ 1)"))
-            })?;
-            if topk == 0 {
-                return Err(GestError::Config(
-                    "--surrogate-topk must be at least 1 (omit it for auto)".into(),
-                ));
-            }
-            flags.surrogate_topk = Some(topk);
-        } else if let Some(n) = arg.strip_prefix("--surrogate-explore=") {
-            flags.surrogate_explore = Some(n.parse().map_err(|_| {
-                GestError::Config(format!("bad exploration quota {n:?} (want a number ≥ 0)"))
-            })?);
         } else if arg == "--trace" {
             flags.trace = Some(None);
         } else if let Some(path) = arg.strip_prefix("--trace=") {
@@ -310,14 +254,6 @@ fn parse_search_flags(args: &[String], allow_checkpoint: bool) -> Result<SearchF
     if flags.local_fallback_after.is_some() && flags.workers.is_empty() {
         return Err(GestError::Config(
             "--local-fallback only applies together with --workers".into(),
-        ));
-    }
-    if (flags.surrogate_topk.is_some() || flags.surrogate_explore.is_some())
-        && flags.surrogate != Some(SurrogateMode::Screen)
-    {
-        return Err(GestError::Config(
-            "--surrogate-topk/--surrogate-explore only apply together with --surrogate=screen"
-                .into(),
         ));
     }
     Ok(flags)
@@ -816,9 +752,6 @@ fn cmd_run(args: &[String]) -> Result<(), GestError> {
     if let Some(width) = flags.lane_width {
         builder = builder.lane_width(width);
     }
-    if let Some(options) = surrogate_options(&flags) {
-        builder = builder.surrogate(options);
-    }
     drive(builder.build()?)?;
     drop(status_server);
     print_artifact_locations(output_dir.as_deref(), trace_path.as_deref());
@@ -864,9 +797,6 @@ fn cmd_resume(args: &[String]) -> Result<(), GestError> {
     }
     if let Some(width) = flags.lane_width {
         builder = builder.lane_width(width);
-    }
-    if let Some(options) = surrogate_options(&flags) {
-        builder = builder.surrogate(options);
     }
     let run = builder.build()?;
     eprintln!(
@@ -939,7 +869,6 @@ struct TraceReport {
     counters: BTreeMap<String, u64>,
     generation_rows: Vec<String>,
     health_rows: Vec<String>,
-    surrogate_rows: Vec<String>,
     histograms: BTreeMap<String, gest::telemetry::HistogramSnapshot>,
 }
 
@@ -1006,21 +935,6 @@ impl TraceReport {
                     field_of(fields, "generation"),
                     field_of(fields, "best_fitness"),
                     field_of(fields, "mean_fitness"),
-                ));
-            }
-            Event::Point { name, fields, .. } if name == "surrogate" => {
-                self.surrogate_rows.push(format!(
-                    "  {:>11} {:>9} {:>10} {:>7} {:>12} {:>9}",
-                    field_of(fields, "generation"),
-                    field_of(fields, "screened"),
-                    field_of(fields, "simulated"),
-                    if field_of(fields, "gate") == "1" {
-                        "open"
-                    } else {
-                        "closed"
-                    },
-                    field_of(fields, "screen_rate"),
-                    field_of(fields, "spearman"),
                 ));
             }
             Event::Point { name, fields, .. } if name == "health" => {
@@ -1189,32 +1103,6 @@ fn cmd_report(path: Option<&str>) -> Result<(), GestError> {
         );
         for row in &report.health_rows {
             println!("{row}");
-        }
-    }
-
-    // --- Surrogate screening, from per-generation surrogate points.
-    // Traces from runs without --surrogate=screen simply have no such
-    // points and skip the section. The spearman column is the rank
-    // correlation trend: "?" until the rolling window has enough pairs.
-    if !report.surrogate_rows.is_empty() {
-        println!("\nsurrogate screening");
-        println!(
-            "  {:>11} {:>9} {:>10} {:>7} {:>12} {:>9}",
-            "generation", "screened", "simulated", "gate", "screen-rate", "spearman"
-        );
-        for row in &report.surrogate_rows {
-            println!("{row}");
-        }
-        let find = |wanted: &str| report.counters.get(wanted).copied();
-        if let (Some(screened), Some(simulated)) =
-            (find("surrogate.screened"), find("surrogate.simulated"))
-        {
-            if screened + simulated > 0 {
-                println!(
-                    "  overall: {:.1}% screened ({screened} screened, {simulated} simulated)",
-                    100.0 * screened as f64 / (screened + simulated) as f64
-                );
-            }
         }
     }
 

@@ -41,7 +41,6 @@ pub mod codec;
 mod def;
 mod def_xml;
 mod error;
-pub mod features;
 mod instruction;
 mod opcode;
 mod program;

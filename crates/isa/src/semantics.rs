@@ -158,25 +158,6 @@ impl ArchState {
         self.mem.len()
     }
 
-    /// Returns the state to its freshly-constructed condition (all
-    /// registers and memory zero) without releasing the memory buffer,
-    /// so pooled states can be recycled across simulation runs.
-    pub fn reset(&mut self) {
-        self.reset_regs();
-        self.mem.fill(0);
-        self.mem_hash.set(0);
-        self.mem_hash_dirty.set(false);
-    }
-
-    /// Zeroes just the register files, leaving the memory buffer (and its
-    /// hash bookkeeping) untouched — for callers that are about to
-    /// overwrite the whole memory image anyway, like the simulator
-    /// re-filling a pooled state.
-    pub fn reset_regs(&mut self) {
-        self.xregs = [0; NUM_INT_REGS as usize];
-        self.vregs = [[0; 2]; NUM_VEC_REGS as usize];
-    }
-
     /// Reads an integer register.
     pub fn reg(&self, r: Reg) -> u64 {
         self.xregs[r.index() as usize]
@@ -957,27 +938,6 @@ mod tests {
         let mut t = ArchState::new(256);
         t.mem_mut().copy_from_slice(s.mem());
         assert_eq!(t.mem_hash(), s.mem_hash());
-    }
-
-    #[test]
-    fn reset_matches_fresh_state_and_reset_regs_keeps_memory() {
-        let mut s = ArchState::new(256);
-        s.set_reg(x(1), CHECKERBOARD);
-        s.set_vreg(crate::reg::VReg::new(2).unwrap(), [7, 9]);
-        s.set_reg(x(10), 8);
-        run(&mut s, "STR x1, [x10, #0]");
-        s.reset();
-        assert_eq!(s, ArchState::new(256), "reset == freshly constructed");
-        assert_eq!(s.mem_hash(), 0);
-
-        // reset_regs leaves memory (and its hash) alone.
-        s.fill_mem(0x5A);
-        s.set_reg(x(1), 3);
-        let hash = s.mem_hash();
-        s.reset_regs();
-        assert_eq!(s.reg(x(1)), 0);
-        assert!(s.mem().iter().all(|&b| b == 0x5A));
-        assert_eq!(s.mem_hash(), hash);
     }
 
     #[test]

@@ -83,18 +83,6 @@ struct HealthView {
     eval_retries: u64,
 }
 
-/// Latest surrogate-screening snapshot (mirrors the `surrogate` trace
-/// point emitted by the runner when screening is enabled).
-#[derive(Debug, Clone, Copy, Default)]
-struct SurrogateView {
-    generation: u64,
-    screened: u64,
-    simulated: u64,
-    gate_open: bool,
-    screen_rate: f64,
-    spearman: Option<f64>,
-}
-
 /// One worker row of the fleet table.
 #[derive(Debug, Clone, Default)]
 struct WorkerView {
@@ -114,7 +102,6 @@ struct LiveState {
     mean_fitness: Option<f64>,
     best_ever: Option<f64>,
     health: Option<HealthView>,
-    surrogate: Option<SurrogateView>,
     workers: BTreeMap<u64, WorkerView>,
     trace: VecDeque<Event>,
 }
@@ -197,26 +184,6 @@ impl ObsSink {
             ]),
         };
 
-        let surrogate = match &state.surrogate {
-            None => Value::Null,
-            Some(s) => Value::Obj(vec![
-                ("generation".into(), num(s.generation)),
-                ("screened".into(), num(s.screened)),
-                ("simulated".into(), num(s.simulated)),
-                ("gate_open".into(), Value::Bool(s.gate_open)),
-                ("screen_rate".into(), Value::Num(s.screen_rate)),
-                ("spearman".into(), opt_num(s.spearman)),
-                (
-                    "screened_total".into(),
-                    num(telemetry.counter_value("surrogate.screened")),
-                ),
-                (
-                    "simulated_total".into(),
-                    num(telemetry.counter_value("surrogate.simulated")),
-                ),
-            ]),
-        };
-
         let workers = Value::Arr(
             state
                 .workers
@@ -268,7 +235,6 @@ impl ObsSink {
             ("best_ever".into(), opt_num(state.best_ever)),
             ("cache".into(), cache),
             ("health".into(), health),
-            ("surrogate".into(), surrogate),
             ("workers".into(), workers),
         ])
     }
@@ -297,16 +263,6 @@ impl Sink for ObsSink {
                     plateaued: field_u64(fields, "plateaued").unwrap_or(0) != 0,
                     quarantined: field_u64(fields, "quarantined").unwrap_or(0),
                     eval_retries: field_u64(fields, "eval_retries").unwrap_or(0),
-                });
-            }
-            Event::Point { name, fields, .. } if name == "surrogate" => {
-                state.surrogate = Some(SurrogateView {
-                    generation: field_u64(fields, "generation").unwrap_or(0),
-                    screened: field_u64(fields, "screened").unwrap_or(0),
-                    simulated: field_u64(fields, "simulated").unwrap_or(0),
-                    gate_open: field_u64(fields, "gate").unwrap_or(0) != 0,
-                    screen_rate: field_f64(fields, "screen_rate").unwrap_or(0.0),
-                    spearman: field_f64(fields, "spearman"),
                 });
             }
             Event::Point { name, fields, .. } if name == "dist.worker.connected" => {
@@ -374,18 +330,6 @@ mod tests {
             ],
         );
         telemetry.point(
-            "surrogate",
-            &[
-                ("generation", 2u64.into()),
-                ("screened", 20u64.into()),
-                ("simulated", 12u64.into()),
-                ("gate", 1u64.into()),
-                ("screen_rate", 0.625f64.into()),
-                ("spearman", 0.91f64.into()),
-            ],
-        );
-        telemetry.add_counter("surrogate.screened", 20);
-        telemetry.point(
             "dist.worker.connected",
             &[
                 ("worker", 0u64.into()),
@@ -414,11 +358,6 @@ mod tests {
         let health = status.get("health").unwrap();
         assert_eq!(health.get("diversity").unwrap().as_f64(), Some(0.75));
         assert_eq!(health.get("stall_generations").unwrap().as_u64(), Some(1));
-        let surrogate = status.get("surrogate").unwrap();
-        assert_eq!(surrogate.get("screened").unwrap().as_u64(), Some(20));
-        assert_eq!(surrogate.get("gate_open"), Some(&Value::Bool(true)));
-        assert_eq!(surrogate.get("spearman").unwrap().as_f64(), Some(0.91));
-        assert_eq!(surrogate.get("screened_total").unwrap().as_u64(), Some(20));
         let workers = status.get("workers").unwrap().as_arr().unwrap();
         assert_eq!(workers.len(), 1);
         assert_eq!(workers[0].get("requests").unwrap().as_u64(), Some(7));

@@ -111,27 +111,6 @@ pub fn render_status(status: &Value) -> String {
             let _ = writeln!(out, "health  (no generation completed yet)");
         }
     }
-    if let Some(surrogate) = status.get("surrogate") {
-        if surrogate.get("screened").is_some() {
-            let gate = matches!(surrogate.get("gate_open"), Some(Value::Bool(true)));
-            let rate = surrogate.get("screen_rate").and_then(Value::as_f64);
-            let _ = writeln!(
-                out,
-                "surrogate  gate {}   screen-rate {}   spearman {}   screened {}   simulated {}",
-                if gate { "open" } else { "closed" },
-                rate.map_or_else(|| "-".to_string(), |r| format!("{:.1}%", r * 100.0)),
-                fmt_opt(surrogate.get("spearman").and_then(Value::as_f64)),
-                surrogate
-                    .get("screened_total")
-                    .and_then(Value::as_u64)
-                    .unwrap_or(0),
-                surrogate
-                    .get("simulated_total")
-                    .and_then(Value::as_u64)
-                    .unwrap_or(0),
-            );
-        }
-    }
     if let Some(serve) = status.get("serve") {
         let count = |key: &str| serve.get(key).and_then(Value::as_u64).unwrap_or(0);
         let _ = writeln!(
@@ -228,8 +207,6 @@ mod tests {
             "generation":3,"generations_total":5,"best_fitness":1.5,"mean_fitness":1.2,
             "best_ever":1.5,"cache":{"hit_rate":0.25,"entries":10,"bytes":4096},
             "health":{"generation":2,"diversity":0.8,"stall_generations":1,"plateaued":false,"quarantined":0,"eval_retries":0},
-            "surrogate":{"generation":2,"screened":20,"simulated":12,"gate_open":true,
-                         "screen_rate":0.625,"spearman":0.91,"screened_total":40,"simulated_total":56},
             "workers":[{"worker":0,"addr":"127.0.0.1:9000","host":"nodeA","alive":true,
                         "lost":null,"requests":12,"retries":0,"heartbeat_age_us":200000}]}"#;
         let frame = render_status(&Value::parse(json).unwrap());
@@ -237,9 +214,6 @@ mod tests {
         assert!(frame.contains("generation 3/5"));
         assert!(frame.contains("hit-rate 25.0%"));
         assert!(frame.contains("diversity 0.8000"));
-        assert!(frame.contains("gate open"));
-        assert!(frame.contains("screen-rate 62.5%"));
-        assert!(frame.contains("spearman 0.9100"));
         assert!(frame.contains("nodeA"));
         assert!(frame.contains("alive"));
         assert!(frame.contains("0.2s"));

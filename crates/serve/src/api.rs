@@ -247,17 +247,20 @@ fn submit(stream: &mut TcpStream, shared: &Arc<Shared>, request: &HttpRequest) {
             return;
         }
     }
-    match query_param(query, "deadline_s").map(str::parse::<f64>) {
+    let deadline = query_param(query, "deadline_s").map(|text| {
+        text.parse::<f64>()
+            .ok()
+            .and_then(|seconds| Duration::try_from_secs_f64(seconds).ok())
+    });
+    match deadline {
         None => {}
-        Some(Ok(seconds)) if seconds.is_finite() && seconds >= 0.0 => {
-            quota.deadline = Some(Duration::from_secs_f64(seconds));
-        }
-        Some(_) => {
+        Some(Some(deadline)) => quota.deadline = Some(deadline),
+        Some(None) => {
             write_http_response(
                 stream,
                 "400 Bad Request",
                 "text/plain",
-                b"deadline_s must be a non-negative number of seconds\n",
+                b"deadline_s must be a non-negative number of seconds below 2^64\n",
             );
             return;
         }

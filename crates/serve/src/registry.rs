@@ -270,11 +270,22 @@ impl RunEntry {
     ///
     /// # Errors
     ///
-    /// I/O errors, or a manifest that does not parse as the expected
-    /// document (reported as [`GestError::Config`]).
+    /// I/O errors, or a manifest [`RunEntry::decode`] rejects.
     pub fn load(dir: &Path) -> Result<RunEntry, GestError> {
+        let text = std::fs::read_to_string(dir.join(RUN_MANIFEST_FILE))?;
+        RunEntry::decode(&text, dir)
+    }
+
+    /// Decodes the text of the manifest in run directory `dir` (the
+    /// directory the entry points at, also named in error messages).
+    ///
+    /// # Errors
+    ///
+    /// [`GestError::Config`] for a manifest that does not parse as the
+    /// expected document, including a `deadline_s` that is negative or
+    /// too large for a [`Duration`].
+    pub fn decode(text: &str, dir: &Path) -> Result<RunEntry, GestError> {
         let path = dir.join(RUN_MANIFEST_FILE);
-        let text = std::fs::read_to_string(&path)?;
         let bad = |what: &str| {
             GestError::Config(format!("{}: missing or invalid {what}", path.display()))
         };
@@ -314,7 +325,9 @@ impl RunEntry {
             deadline: doc
                 .get("deadline_s")
                 .and_then(Value::as_f64)
-                .map(Duration::from_secs_f64),
+                .map(Duration::try_from_secs_f64)
+                .transpose()
+                .map_err(|_| bad("deadline_s"))?,
         };
         let config_xml = doc
             .get("config_xml")
@@ -392,13 +405,22 @@ pub fn load_index(state_dir: &Path) -> Result<Vec<(String, PathBuf)>, GestError>
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
         Err(e) => return Err(e.into()),
     };
-    let doc = Value::parse(text.trim())
-        .map_err(|e| GestError::Config(format!("{}: {e}", path.display())))?;
+    decode_index(&text).map_err(|e| match e {
+        GestError::Config(message) => GestError::Config(format!("{}: {message}", path.display())),
+        other => other,
+    })
+}
+
+/// Decodes the text of a run index into `(id, dir)` rows.
+///
+/// # Errors
+///
+/// [`GestError::Config`] for text that is not a JSON array of
+/// `{"id": .., "dir": ..}` rows.
+pub fn decode_index(text: &str) -> Result<Vec<(String, PathBuf)>, GestError> {
+    let doc = Value::parse(text.trim()).map_err(|e| GestError::Config(e.to_string()))?;
     let Some(rows) = doc.as_arr() else {
-        return Err(GestError::Config(format!(
-            "{}: expected a JSON array",
-            path.display()
-        )));
+        return Err(GestError::Config("expected a JSON array".into()));
     };
     let mut index = Vec::new();
     for row in rows {
@@ -406,10 +428,7 @@ pub fn load_index(state_dir: &Path) -> Result<Vec<(String, PathBuf)>, GestError>
             row.get("id").and_then(Value::as_str),
             row.get("dir").and_then(Value::as_str),
         ) else {
-            return Err(GestError::Config(format!(
-                "{}: index rows need id and dir",
-                path.display()
-            )));
+            return Err(GestError::Config("index rows need id and dir".into()));
         };
         index.push((id.to_string(), PathBuf::from(dir)));
     }

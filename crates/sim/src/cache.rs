@@ -157,13 +157,6 @@ impl DataCache {
             }
         }
     }
-
-    /// Clears contents and statistics.
-    pub fn reset(&mut self) {
-        self.lines.fill((u64::MAX, 0));
-        self.tick = 0;
-        self.stats = CacheStats::default();
-    }
 }
 
 #[cfg(test)]
@@ -218,14 +211,11 @@ mod tests {
     }
 
     #[test]
-    fn hit_rate_and_reset() {
+    fn hit_rate_counts_hits_over_accesses() {
         let mut cache = small();
         cache.access(0);
         cache.access(0);
         assert!((cache.stats().hit_rate() - 0.5).abs() < 1e-12);
-        cache.reset();
-        assert_eq!(cache.stats(), CacheStats::default());
-        assert!(!cache.access(0), "reset invalidates contents");
     }
 
     #[test]

@@ -143,9 +143,9 @@ struct BodyOp {
 }
 
 /// The reusable run buffers: the prepared body ops, the per-cycle energy
-/// waveform, the steady-state detector's rings and snapshots, and the
-/// instruments recycled across runs. Every run clears or resets each buffer
-/// before reading it, so nothing one program leaves here reaches the next.
+/// waveform and the steady-state detector's rings and snapshots. Every run
+/// clears each buffer before reading it, so nothing one program leaves here
+/// reaches the next.
 #[derive(Debug, Default)]
 struct RunBuffers {
     cycle_energy_pj: Vec<f64>,
@@ -157,12 +157,6 @@ struct RunBuffers {
     fps: VecDeque<u64>,
     prev_snap: SteadySnapshot,
     cur_snap: SteadySnapshot,
-    /// Architectural state recycled across runs (a reset + refill is far
-    /// cheaper than reallocating the memory buffer).
-    pooled_state: Option<ArchState>,
-    /// Data cache recycled across runs (its per-set allocations dominate
-    /// cold-run setup cost).
-    pooled_cache: Option<DataCache>,
 }
 
 /// Reusable state for [`Simulator::run_batch_with_scratch`]: one set of
@@ -302,11 +296,10 @@ impl Simulator {
     /// evaluate a generation's candidates in groups.
     ///
     /// Each program runs to completion before the next starts. The scratch
-    /// recycles the run buffers, the architectural state and the data
-    /// cache, and every run resets them first, so each result is
-    /// byte-identical to [`run`](Simulator::run) on a fresh scratch
-    /// (asserted by the sim property tests). An erroring program yields
-    /// its own `Err` without disturbing the others.
+    /// recycles the run buffers, and every run clears them first, so each
+    /// result is byte-identical to [`run`](Simulator::run) on a fresh
+    /// scratch (asserted by the sim property tests). An erroring program
+    /// yields its own `Err` without disturbing the others.
     pub fn run_batch_with_scratch(
         &self,
         programs: &[Program],
@@ -351,26 +344,10 @@ impl Simulator {
             ..
         } = scratch;
 
-        // Recycle the pooled instruments where the geometry still matches.
-        let mut state = match buffers.pooled_state.take() {
-            Some(mut pooled) if pooled.mem_size() == self.machine.mem_bytes => {
-                // Registers only: `mem_init.apply` below overwrites the
-                // whole memory image (and marks its hash for a rescan), so
-                // zeroing it first would be a wasted pass.
-                pooled.reset_regs();
-                pooled
-            }
-            _ => ArchState::new(self.machine.mem_bytes),
-        };
+        let mut state = ArchState::new(self.machine.mem_bytes);
         program.mem_init.apply(&mut state);
         program.apply_init_instrs(&mut state)?;
-        let cache = match buffers.pooled_cache.take() {
-            Some(mut pooled) if pooled.config() == self.machine.l1d => {
-                pooled.reset();
-                pooled
-            }
-            _ => DataCache::new(self.machine.l1d),
-        };
+        let cache = DataCache::new(self.machine.l1d);
 
         let mut run = ProgramRun::new(
             &self.machine,
@@ -486,7 +463,7 @@ struct ProgramRun<'a> {
 
 impl<'a> ProgramRun<'a> {
     /// Builds a run around prepared architectural state (memory init and
-    /// init block already applied) and a fresh-or-reset cache.
+    /// init block already applied) and a fresh cache.
     fn new(
         machine: &'a MachineConfig,
         program: &'a Program,
@@ -731,7 +708,6 @@ impl<'a> ProgramRun<'a> {
 
     /// Replays the confirmed steady block analytically, integrates power,
     /// thermal, and PDN, and assembles the [`RunResult`]. Consumes the
-    /// run, returning its instruments to the scratch pool for the next
     /// run.
     fn finalize(
         self,
@@ -744,7 +720,6 @@ impl<'a> ProgramRun<'a> {
             config,
             energy_model,
             scratch,
-            state,
             pipeline,
             cache,
             predictor,
@@ -927,11 +902,6 @@ impl<'a> ProgramRun<'a> {
             voltage,
             class_counts,
         };
-
-        // Return the instruments to the pool; the next run through this
-        // scratch recycles them (reset + refill) instead of reallocating.
-        scratch.pooled_state = Some(state);
-        scratch.pooled_cache = Some(cache);
 
         (
             result,
@@ -1269,8 +1239,8 @@ mod tests {
         let simulator = Simulator::new(MachineConfig::cortex_a15());
         let config = RunConfig::default();
         let mut scratch = BatchScratch::new();
-        // Two passes through the same scratch: the second recycles the
-        // pooled instruments and the memoized thermal schedule.
+        // Two passes through the same scratch: the second reuses the run
+        // buffers and the memoized thermal schedule.
         for pass in 0..2 {
             let batched = simulator.run_batch_with_scratch(&programs, &config, &mut scratch);
             for (program, lane) in programs.iter().zip(&batched) {

@@ -131,8 +131,8 @@ proptest! {
             ..RunConfig::default()
         };
         // One scratch across both machines and every program exercises
-        // instrument pooling under geometry changes, not just the first
-        // cold run; each program also runs alone on a fresh scratch.
+        // buffer reuse under geometry changes, not just the first cold
+        // run; each program also runs alone on a fresh scratch.
         let mut scratch = BatchScratch::new();
         for machine in [MachineConfig::cortex_a15(), MachineConfig::athlon_x4()] {
             let programs: Vec<Program> = batch

@@ -8,6 +8,12 @@
 
 use std::fmt;
 
+/// Deepest array/object nesting [`Value::parse`] accepts. The parser
+/// recurses once per level, so an unbounded depth would let a hostile
+/// document (a `/status` body, a manifest, a trace line) overflow the
+/// stack; the documents this crate writes nest at most 4 deep.
+const MAX_DEPTH: usize = 128;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
@@ -51,11 +57,13 @@ impl Value {
     ///
     /// # Errors
     ///
-    /// [`ParseError`] on malformed input or trailing garbage.
+    /// [`ParseError`] on malformed input, trailing garbage, or arrays and
+    /// objects nested more than 128 deep.
     pub fn parse(input: &str) -> Result<Value, ParseError> {
         let mut parser = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         parser.skip_ws();
         let value = parser.value()?;
@@ -185,6 +193,8 @@ fn write_string(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -212,8 +222,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.bytes.get(self.pos) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -221,6 +231,21 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.error("expected a value")),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to open a
+    /// level past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, text: &str, value: Value) -> Result<Value, ParseError> {
@@ -411,6 +436,24 @@ mod tests {
         assert!(Value::parse("[1 2]").is_err());
         assert!(Value::parse("\"open").is_err());
         assert!(Value::parse("{\"a\":1} tail").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        assert!(Value::parse(&"[".repeat(100_000)).is_err());
+        assert!(Value::parse(&"{\"a\":".repeat(100_000)).is_err());
+
+        let arrays = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let objects =
+            |depth: usize| format!("{}null{}", "{\"a\":".repeat(depth), "}".repeat(depth));
+        assert!(Value::parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(Value::parse(&objects(MAX_DEPTH)).is_ok());
+        let error = Value::parse(&arrays(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(error.offset, MAX_DEPTH, "{error}");
+        assert!(Value::parse(&objects(MAX_DEPTH + 1)).is_err());
+        // Depth is released on the way out: siblings each get the full cap.
+        let siblings = format!("[{},{}]", arrays(MAX_DEPTH - 1), arrays(MAX_DEPTH - 1));
+        assert!(Value::parse(&siblings).is_ok());
     }
 
     #[test]

@@ -2,16 +2,18 @@
 //! run supervision (transient-fault restarts with a bounded budget, and
 //! the terminal states they produce), per-run quotas
 //! (`?max_generations=`, `?deadline_s=`) that expire runs behind a
-//! resumable checkpoint, and admission control (`max_pending`,
-//! free-disk floor) answering `503` + `Retry-After` while resident runs
-//! keep stepping.
+//! resumable checkpoint, out-of-range deadlines (refused with `400`, and
+//! skipped in a manifest at startup), and admission control
+//! (`max_pending`, free-disk floor) answering `503` + `Retry-After` while
+//! resident runs keep stepping.
 
 use gest::core::{
     EvalBackend, EvalRequest, FaultPolicy, GestConfig, GestError, GestRun, OutputWriter,
     CHECKPOINT_FILE,
 };
 use gest::obs::http_request;
-use gest::serve::{ServeOptions, ServeServer};
+use gest::serve::registry::{save_index, RUN_MANIFEST_FILE};
+use gest::serve::{RunEntry, ServeOptions, ServeServer};
 use gest::sim::RunResult;
 use gest::telemetry::json::Value;
 use gest::telemetry::{NoopSink, Telemetry};
@@ -385,6 +387,63 @@ fn admission_control_sheds_submissions_with_503_and_retry_after() {
 
     drop(server);
     for dir in [&state_dir, &long_dir, &late_dir] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+#[test]
+fn out_of_range_deadlines_are_rejected_over_http_and_skipped_at_startup() {
+    let state_dir = temp_dir("deadline_state");
+    let run_dir = temp_dir("deadline_run");
+    let xml = search_config(&run_dir, 121, 3).to_xml().to_string();
+
+    // A manifest whose deadline no `Duration` can hold, listed in the
+    // index of the state directory the service starts from.
+    std::fs::create_dir_all(&run_dir).unwrap();
+    let mut entry = RunEntry::new("hostile".into(), run_dir.clone(), xml.clone(), 1, 3);
+    entry.quota.deadline = Some(Duration::from_secs(1));
+    entry.persist().unwrap();
+    let manifest = run_dir.join(RUN_MANIFEST_FILE);
+    let text = std::fs::read_to_string(&manifest).unwrap();
+    assert!(text.contains("\"deadline_s\":1,"), "{text}");
+    std::fs::write(
+        &manifest,
+        text.replace("\"deadline_s\":1,", "\"deadline_s\":-1,"),
+    )
+    .unwrap();
+    std::fs::create_dir_all(&state_dir).unwrap();
+    save_index(&state_dir, &[entry]).unwrap();
+
+    // The service starts, skipping the run it cannot decode.
+    let server = ServeServer::start("127.0.0.1:0", ServeOptions::new(&state_dir)).unwrap();
+    let addr = server.addr().to_string();
+    let (status, body) = http_request(&addr, "GET", "/runs", &[], HTTP_TIMEOUT).unwrap();
+    assert_eq!(status, 200);
+    assert_eq!(String::from_utf8(body).unwrap().trim(), "[]");
+
+    // Deadlines a `Duration` cannot hold answer 400 on the connection
+    // that sent them, and the service keeps answering.
+    for deadline in ["-1", "1e20", "NaN", "inf"] {
+        let (status, body) = http_request(
+            &addr,
+            "POST",
+            &format!("/runs?deadline_s={deadline}"),
+            xml.as_bytes(),
+            HTTP_TIMEOUT,
+        )
+        .unwrap();
+        assert_eq!(
+            status,
+            400,
+            "deadline_s={deadline}: {}",
+            String::from_utf8_lossy(&body)
+        );
+    }
+    let (status, _) = http_request(&addr, "GET", "/runs", &[], HTTP_TIMEOUT).unwrap();
+    assert_eq!(status, 200);
+
+    drop(server);
+    for dir in [&state_dir, &run_dir] {
         let _ = std::fs::remove_dir_all(dir);
     }
 }
