@@ -660,6 +660,35 @@ MOVI x10, #0
     }
 
     #[test]
+    fn a_zero_immediate_stride_is_an_error_not_a_panic() {
+        let xml = r#"<gest><target machine="cortex-a15"/><instructions>
+            <operand id="r" values="x1 x2" type="register"/>
+            <operand id="i" min="0" max="256" stride="0" type="immediate"/>
+            <instruction name="ADDI" num_of_operands="3" operand1="r" operand2="r" operand3="i"/>
+        </instructions></gest>"#;
+        assert!(matches!(
+            GestConfig::from_xml_str(xml),
+            Err(GestError::Isa(_))
+        ));
+    }
+
+    #[test]
+    fn deeply_nested_xml_is_an_error_not_a_stack_overflow() {
+        // 8,000 levels overflow a 2 MiB thread's stack if the tree is
+        // built without a depth cap.
+        let depth = 8_000;
+        let xml = format!(
+            "<gest><target machine=\"cortex-a15\"/>{}{}</gest>",
+            "<a>".repeat(depth),
+            "</a>".repeat(depth)
+        );
+        assert!(matches!(
+            GestConfig::from_xml_str(&xml),
+            Err(GestError::Xml(_))
+        ));
+    }
+
+    #[test]
     fn xml_missing_target_rejected() {
         assert!(matches!(
             GestConfig::from_xml_str("<gest/>"),

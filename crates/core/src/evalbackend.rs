@@ -5,7 +5,8 @@
 //! must be deterministic — cache lookups, fitness, the fault policy,
 //! result ordering — on the coordinator side and delegates only the raw
 //! measurement of a batch of candidates (one, at the default lane width)
-//! to an [`EvalBackend`]:
+//! to an [`EvalBackend`]. Below the backend, a batch is that many calls of
+//! one measurement:
 //!
 //! * [`LocalBackend`] measures in-process on a thread pool (the default,
 //!   extracted from the runner's original `std::thread::scope` fan-out);
@@ -77,11 +78,10 @@ pub trait EvalBackend: Send + Sync + std::fmt::Debug {
 
     /// How many candidates this backend prefers to receive per
     /// [`measure_batch`](EvalBackend::measure_batch) call. `1` (the
-    /// default) has the runner hand over one candidate per call; backends
-    /// that measure a chunk in one call (the local simulator, one
-    /// candidate after another through one scratch) report their lane
-    /// width so the runner hands them whole chunks, and decorators forward
-    /// their inner backend's width.
+    /// default) has the runner hand over one candidate per call; a backend
+    /// set to a wider width (see [`LocalBackend::with_lane_width`]) has the
+    /// runner hand it whole chunks, and decorators forward their inner
+    /// backend's width.
     fn lane_width(&self) -> usize {
         1
     }
@@ -255,19 +255,15 @@ impl LocalBackend {
         }
     }
 
-    /// Sets how many candidates each slot hands the measurement per call,
-    /// measured one after another (`0` and `1` both mean one candidate per
-    /// call). An execution detail like `threads`: it changes wall-clock,
-    /// never results.
+    /// Sets how many candidates the runner hands a slot per
+    /// [`measure_batch`](EvalBackend::measure_batch) call (`0` and `1` both
+    /// mean one). The slot measures them one per call, so the width only
+    /// chunks the work across slots: an execution detail like `threads`
+    /// that changes wall-clock, never results.
     #[must_use]
     pub fn with_lane_width(mut self, lane_width: usize) -> Self {
         self.lane_width = lane_width.max(1);
         self
-    }
-
-    fn materialize(&self, request: &EvalRequest<'_>) -> gest_isa::Program {
-        let body = gest_isa::InstructionPool::flatten(request.genes);
-        self.template.materialize(request.program_name(), body)
     }
 }
 
@@ -292,20 +288,13 @@ impl EvalBackend for LocalBackend {
         _slot: usize,
         request: &EvalRequest<'_>,
     ) -> Result<(Vec<f64>, Option<RunResult>), GestError> {
-        let program = self.materialize(request);
+        let body = gest_isa::InstructionPool::flatten(request.genes);
+        let program = self.template.materialize(request.program_name(), body);
         self.measurement.measure_detailed(&program)
     }
 
     fn lane_width(&self) -> usize {
         self.lane_width
-    }
-
-    fn measure_batch(&self, _slot: usize, requests: &[EvalRequest<'_>]) -> MeasuredBatch {
-        let programs: Vec<gest_isa::Program> = requests
-            .iter()
-            .map(|request| self.materialize(request))
-            .collect();
-        self.measurement.measure_batch_detailed(&programs)
     }
 }
 

@@ -56,13 +56,10 @@ pub trait Measurement: Send + Sync + Debug {
         Ok((self.measure(program)?, None))
     }
 
-    /// Measures a whole batch, one result per program, in order. The
-    /// default loops [`measure_detailed`](Measurement::measure_detailed),
-    /// so every measurement supports batching; sim-backed measurements
-    /// override it to run the programs one after another through one
-    /// reused simulator scratch, which amortizes per-run setup without
-    /// changing any value. A failing program yields an `Err` in its lane
-    /// only — it never disturbs its neighbours.
+    /// Measures a whole batch, one result per program, in order, by
+    /// looping [`measure_detailed`](Measurement::measure_detailed). A
+    /// failing program yields an `Err` in its lane only — it never
+    /// disturbs its neighbours.
     fn measure_batch_detailed(&self, programs: &[Program]) -> MeasuredBatch {
         programs
             .iter()
@@ -85,12 +82,12 @@ thread_local! {
     /// One reusable simulator scratch per evaluation thread: the decode
     /// buffer, energy waveform, steady-state detector storage and thermal
     /// schedule memo survive across the many programs a worker measures.
-    static BATCH_SCRATCH: std::cell::RefCell<gest_sim::BatchScratch> =
-        std::cell::RefCell::new(gest_sim::BatchScratch::new());
+    static RUN_SCRATCH: std::cell::RefCell<gest_sim::RunScratch> =
+        std::cell::RefCell::new(gest_sim::RunScratch::new());
 }
 
 // Process-wide fast-path counters, drained from the thread-local scratch
-// after every batch (the scratch dies with its worker thread, so
+// after every run (the scratch dies with its worker thread, so
 // per-thread counters alone cannot be read after an evaluation pool winds
 // down).
 static SIM_RUNS: AtomicU64 = AtomicU64::new(0);
@@ -99,7 +96,7 @@ static SIM_EXTRAPOLATED_ITERATIONS: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide counters of the simulator's steady-state fast path across
 /// every sim-backed measurement in this process (see
-/// [`gest_sim::BatchScratch`]). Monotonic; sample before and after a run
+/// [`gest_sim::RunScratch`]). Monotonic; sample before and after a run
 /// and difference to scope them, as the `gest-benchmark` harness does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SimFastPathStats {
@@ -122,8 +119,8 @@ pub fn sim_fast_path_stats() -> SimFastPathStats {
 
 /// What one simulator-backed measurement contributes: its configuration
 /// name, its metric names, and the projection from a simulator result to
-/// its metric vector. Everything else — running the simulator, batching,
-/// detail export — is [`SimMeasurement`]'s, shared by all of them.
+/// its metric vector. Everything else — running the simulator, detail
+/// export — is [`SimMeasurement`]'s, shared by all of them.
 pub trait SimProjection: Send + Sync + Debug + 'static {
     /// Identifier used in configuration files.
     const NAME: &'static str;
@@ -133,10 +130,8 @@ pub trait SimProjection: Send + Sync + Debug + 'static {
     fn project(result: &RunResult) -> Vec<f64>;
 }
 
-/// A measurement that runs each program on a simulated machine and
-/// projects the result through `P`. A lone program is a batch of one
-/// through this thread's simulator scratch, so there is one evaluation
-/// path whatever the lane width.
+/// A measurement that runs each program on a simulated machine, through
+/// this thread's simulator scratch, and projects the result through `P`.
 #[derive(Debug, Clone)]
 pub struct SimMeasurement<P> {
     simulator: Simulator,
@@ -171,43 +166,31 @@ impl<P: SimProjection> Measurement for SimMeasurement<P> {
         Ok(self.measure_detailed(program)?.0)
     }
 
+    /// Runs the program through this thread's simulator scratch; the
+    /// process-wide fast-path counters advance by what the run did.
     fn measure_detailed(
         &self,
         program: &Program,
     ) -> Result<(Vec<f64>, Option<RunResult>), GestError> {
-        self.measure_batch_detailed(std::slice::from_ref(program))
-            .pop()
-            .expect("one lane per program")
-    }
-
-    /// Runs every program, one after another, through this thread's
-    /// simulator scratch; the process-wide fast-path counters advance by
-    /// what the batch did.
-    fn measure_batch_detailed(&self, programs: &[Program]) -> MeasuredBatch {
-        BATCH_SCRATCH.with(|cell| {
+        let result = RUN_SCRATCH.with(|cell| {
             let mut scratch = cell.borrow_mut();
             let before = (
                 scratch.runs,
                 scratch.steady_hits,
                 scratch.extrapolated_iterations,
             );
-            let results =
-                self.simulator
-                    .run_batch_with_scratch(programs, &self.run_config, &mut scratch);
+            let result = self
+                .simulator
+                .run_with_scratch(program, &self.run_config, &mut scratch);
             SIM_RUNS.fetch_add(scratch.runs - before.0, Ordering::Relaxed);
             SIM_STEADY_HITS.fetch_add(scratch.steady_hits - before.1, Ordering::Relaxed);
             SIM_EXTRAPOLATED_ITERATIONS.fetch_add(
                 scratch.extrapolated_iterations - before.2,
                 Ordering::Relaxed,
             );
-            results
-                .into_iter()
-                .map(|lane| {
-                    let result = lane?;
-                    Ok((P::project(&result), Some(result)))
-                })
-                .collect()
-        })
+            result
+        })?;
+        Ok((P::project(&result), Some(result)))
     }
 }
 
@@ -427,33 +410,16 @@ impl Measurement for NoisyMeasurement {
         Ok(self.measure_detailed(program)?.0)
     }
 
+    /// Perturbs only the wrapped measurement's metric values — the
+    /// simulator detail stays exact, mirroring an instrument that is noisy
+    /// while the silicon underneath is not.
     fn measure_detailed(
         &self,
         program: &Program,
     ) -> Result<(Vec<f64>, Option<RunResult>), GestError> {
-        self.measure_batch_detailed(std::slice::from_ref(program))
-            .pop()
-            .expect("one lane per program")
-    }
-
-    /// Forwards the whole batch to the wrapped measurement (keeping its
-    /// batched fast path) and perturbs only each lane's metric values —
-    /// the simulator detail stays exact, mirroring an instrument that is
-    /// noisy while the silicon underneath is not. Noise is a pure function
-    /// of `(seed, program name, metric index)`, so a lane's values do not
-    /// depend on its batch.
-    fn measure_batch_detailed(&self, programs: &[Program]) -> MeasuredBatch {
-        self.inner
-            .measure_batch_detailed(programs)
-            .into_iter()
-            .zip(programs)
-            .map(|(lane, program)| {
-                lane.map(|(mut values, detail)| {
-                    self.perturb(&program.name, &mut values);
-                    (values, detail)
-                })
-            })
-            .collect()
+        let (mut values, detail) = self.inner.measure_detailed(program)?;
+        self.perturb(&program.name, &mut values);
+        Ok((values, detail))
     }
 }
 
@@ -630,8 +596,8 @@ mod tests {
             }
         }
 
-        // The noisy wrapper forwards batches; pure per-name noise keeps
-        // batched values equal to looped singles.
+        // Pure per-name noise keeps the noisy wrapper's batched values
+        // equal to its singles.
         let noisy = NoisyMeasurement::wrap(Arc::new(m), 0.05, 9);
         for (program, lane) in programs.iter().zip(noisy.measure_batch_detailed(&programs)) {
             match (lane, noisy.measure_detailed(program)) {
@@ -643,8 +609,8 @@ mod tests {
             }
         }
 
-        // A measurement that never overrides the batch hook still batches
-        // through the looping default.
+        // A measurement that implements only `measure` batches through
+        // the looping defaults.
         #[derive(Debug)]
         struct Flat;
         impl Measurement for Flat {

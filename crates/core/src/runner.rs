@@ -1038,9 +1038,9 @@ impl GestRun {
     ///
     /// Each cursor claim takes a chunk of up to
     /// [`EvalBackend::lane_width`] positions — a chunk of one at the
-    /// default width. Batching is wall-clock only: every lane's
-    /// measurement is bit-identical to a batch of one and results land in
-    /// the same write-once slots, so the search cannot observe the width.
+    /// default width. Batching is wall-clock only: every lane is measured
+    /// alone as at width one and results land in the same write-once
+    /// slots, so the search cannot observe the width.
     fn evaluate_wave(&self, ctx: &EvalContext<'_>, positions: &[usize]) {
         if positions.is_empty() {
             return;

@@ -51,18 +51,21 @@ impl OperandKind {
         match self {
             OperandKind::IntReg(regs) => regs.len() as u64,
             OperandKind::VecReg(regs) => regs.len() as u64,
+            // Wide arithmetic: a configuration file can name any `i64`
+            // bounds, and the stride is checked only when a pool is built.
             OperandKind::Imm { min, max, stride } => {
-                if max < min {
+                if max < min || *stride <= 0 {
                     0
                 } else {
-                    ((max - min) / stride + 1) as u64
+                    let span = i128::from(*max) - i128::from(*min);
+                    u64::try_from(span / i128::from(*stride) + 1).unwrap_or(u64::MAX)
                 }
             }
             OperandKind::BranchOffset { min, max } => {
                 if max < min {
                     0
                 } else {
-                    (max - min + 1) as u64
+                    u64::from(max - min) + 1
                 }
             }
         }
@@ -81,8 +84,9 @@ impl OperandKind {
             OperandKind::Imm { min, stride, .. } => {
                 let count = self.cardinality();
                 assert!(count > 0, "empty immediate range");
-                let k = rng.random_range(0..count) as i64;
-                Operand::Imm(min + k * stride)
+                let k = i128::from(rng.random_range(0..count));
+                let value = i128::from(*min) + k * i128::from(*stride);
+                Operand::Imm(i64::try_from(value).expect("k * stride stays within max - min"))
             }
             OperandKind::BranchOffset { min, max } => {
                 Operand::Target(rng.random_range(*min..=*max))
@@ -96,7 +100,9 @@ impl OperandKind {
             (OperandKind::IntReg(regs), Operand::Reg(r)) => regs.contains(&r),
             (OperandKind::VecReg(regs), Operand::VReg(v)) => regs.contains(&v),
             (OperandKind::Imm { min, max, stride }, Operand::Imm(value)) => {
-                value >= *min && value <= *max && (value - min) % stride == 0
+                value >= *min
+                    && value <= *max
+                    && (i128::from(value) - i128::from(*min)) % i128::from(*stride) == 0
             }
             (OperandKind::BranchOffset { min, max }, Operand::Target(t)) => t >= *min && t <= *max,
             _ => false,
@@ -323,9 +329,6 @@ impl PoolBuilder {
     pub fn build(self) -> Result<InstructionPool, IsaError> {
         let mut operands = BTreeMap::new();
         for def in self.operands {
-            if def.kind.cardinality() == 0 {
-                return Err(IsaError::EmptyDefinition { id: def.id });
-            }
             if let OperandKind::Imm { stride, .. } = def.kind {
                 if stride <= 0 {
                     return Err(IsaError::Config(format!(
@@ -333,6 +336,9 @@ impl PoolBuilder {
                         def.id
                     )));
                 }
+            }
+            if def.kind.cardinality() == 0 {
+                return Err(IsaError::EmptyDefinition { id: def.id });
             }
             if let OperandKind::BranchOffset { min, .. } = def.kind {
                 if min == 0 {
@@ -669,6 +675,42 @@ mod tests {
                 other => panic!("unexpected {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn degenerate_and_extreme_ranges_neither_panic_nor_overflow() {
+        let imm = |min, max, stride| OperandKind::Imm { min, max, stride };
+        let build = |kind| {
+            PoolBuilder::new()
+                .operand(OperandDef::new("i", kind))
+                .operand(OperandDef::new("r", OperandKind::IntReg(regs(&[1]))))
+                .instruction(InstructionDef::new("ADDI", Opcode::Addi, ["r", "r", "i"]))
+                .build()
+        };
+        // A zero stride used to divide by zero before the stride check.
+        for stride in [0, -8] {
+            assert_eq!(imm(0, 256, stride).cardinality(), 0);
+            assert!(matches!(
+                build(imm(0, 256, stride)),
+                Err(IsaError::Config(_))
+            ));
+        }
+        let full = imm(i64::MIN, i64::MAX, 1);
+        assert_eq!(full.cardinality(), u64::MAX);
+        assert_eq!(imm(i64::MIN, i64::MAX, i64::MAX).cardinality(), 3);
+        let mut rng = StdRng::seed_from_u64(11);
+        let pool = build(full.clone()).unwrap();
+        for _ in 0..64 {
+            let Operand::Imm(value) = full.sample(&mut rng) else {
+                panic!("an immediate kind samples immediates")
+            };
+            assert!(full.contains(Operand::Imm(value)));
+            pool.random_gene(&mut rng);
+        }
+        assert_eq!(
+            OperandKind::BranchOffset { min: 0, max: 255 }.cardinality(),
+            256
+        );
     }
 
     #[test]

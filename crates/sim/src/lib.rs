@@ -63,6 +63,6 @@ pub use pipeline::{Pipeline, PipelineKind};
 pub use power::EnergyModel;
 pub use predictor::BranchPredictor;
 pub use result::{RunConfig, RunResult, SimError};
-pub use simulator::{BatchScratch, Simulator, Traces};
+pub use simulator::{RunScratch, Simulator, Traces};
 pub use thermal::{ThermalModel, ThermalSchedule};
 pub use vmin::{characterize_vmin, VminConfig, VminResult};

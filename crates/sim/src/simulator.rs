@@ -159,12 +159,12 @@ struct RunBuffers {
     cur_snap: SteadySnapshot,
 }
 
-/// Reusable state for [`Simulator::run_batch_with_scratch`]: one set of
-/// run buffers, which the programs of a call use one after another, plus
-/// the memoized thermal hold schedule, a deterministic function of the
-/// machine and run configuration.
+/// Reusable state for [`Simulator::run_with_scratch`]: one set of run
+/// buffers, which successive runs use one after another, plus the memoized
+/// thermal hold schedule, a deterministic function of the machine and run
+/// configuration.
 #[derive(Debug, Default)]
-pub struct BatchScratch {
+pub struct RunScratch {
     buffers: RunBuffers,
     /// Memoized thermal hold schedule (per machine + hold duration).
     thermal: Option<ThermalSchedule>,
@@ -176,10 +176,10 @@ pub struct BatchScratch {
     pub extrapolated_iterations: u64,
 }
 
-impl BatchScratch {
+impl RunScratch {
     /// Creates an empty scratch.
-    pub fn new() -> BatchScratch {
-        BatchScratch::default()
+    pub fn new() -> RunScratch {
+        RunScratch::default()
     }
 }
 
@@ -255,7 +255,7 @@ impl Simulator {
     /// * [`SimError::EmptyProgram`] when the body has no instructions,
     /// * [`SimError::Exec`] if functional execution fails.
     pub fn run(&self, program: &Program, config: &RunConfig) -> Result<RunResult, SimError> {
-        self.run_one(program, config, false, &mut BatchScratch::new())
+        self.run_one(program, config, false, &mut RunScratch::new())
             .map(|(result, _)| result)
     }
 
@@ -287,32 +287,30 @@ impl Simulator {
         program: &Program,
         config: &RunConfig,
     ) -> Result<(RunResult, Traces), SimError> {
-        self.run_one(program, config, true, &mut BatchScratch::new())
+        self.run_one(program, config, true, &mut RunScratch::new())
             .map(|(result, traces)| (result, traces.expect("traces requested")))
     }
 
-    /// Runs each program in turn through the caller's scratch and returns
-    /// one result per program, in order — the path for workers that
-    /// evaluate a generation's candidates in groups.
+    /// Like [`run`](Simulator::run), through the caller's scratch — the
+    /// path for workers that measure many programs one after another.
     ///
-    /// Each program runs to completion before the next starts. The scratch
-    /// recycles the run buffers, and every run clears them first, so each
-    /// result is byte-identical to [`run`](Simulator::run) on a fresh
-    /// scratch (asserted by the sim property tests). An erroring program
-    /// yields its own `Err` without disturbing the others.
-    pub fn run_batch_with_scratch(
+    /// The scratch recycles the run buffers, and every run clears them
+    /// first, so the result is byte-identical to [`run`](Simulator::run) on
+    /// a fresh scratch (asserted by the sim property tests), whatever the
+    /// scratch ran before.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`run`](Simulator::run); an erroring program leaves the
+    /// scratch fit for the next one.
+    pub fn run_with_scratch(
         &self,
-        programs: &[Program],
+        program: &Program,
         config: &RunConfig,
-        scratch: &mut BatchScratch,
-    ) -> Vec<Result<RunResult, SimError>> {
-        programs
-            .iter()
-            .map(|program| {
-                self.run_one(program, config, false, scratch)
-                    .map(|(result, _)| result)
-            })
-            .collect()
+        scratch: &mut RunScratch,
+    ) -> Result<RunResult, SimError> {
+        self.run_one(program, config, false, scratch)
+            .map(|(result, _)| result)
     }
 
     /// One program through `scratch`: set up, step until done, finalize.
@@ -321,7 +319,7 @@ impl Simulator {
         program: &Program,
         config: &RunConfig,
         want_traces: bool,
-        scratch: &mut BatchScratch,
+        scratch: &mut RunScratch,
     ) -> Result<(RunResult, Option<Traces>), SimError> {
         self.validate(program)?;
         let reusable = match &scratch.thermal {
@@ -336,7 +334,7 @@ impl Simulator {
         }
         scratch.runs += 1;
         let energy_model = EnergyModel::new(&self.machine);
-        let BatchScratch {
+        let RunScratch {
             buffers,
             thermal,
             steady_hits,
@@ -919,20 +917,6 @@ mod tests {
     use super::*;
     use gest_isa::{asm, Program, Template};
 
-    /// One program through the caller's scratch.
-    fn run_reusing(
-        simulator: &Simulator,
-        program: &Program,
-        config: &RunConfig,
-        scratch: &mut BatchScratch,
-    ) -> RunResult {
-        simulator
-            .run_batch_with_scratch(std::slice::from_ref(program), config, scratch)
-            .pop()
-            .unwrap()
-            .unwrap()
-    }
-
     fn run_on(machine: MachineConfig, body: &str) -> RunResult {
         let template = Template::default_stress();
         let program = template.materialize("test", asm::parse_block(body).unwrap());
@@ -1139,7 +1123,7 @@ mod tests {
             "ADD x1, x2, x3\nCBNZ x0, #1\nADD x4, x5, x6\nB #1\nADD x7, x2, x5",
             "LDR x11, [x10, #0]\nADDI x10, x10, #64",
         ];
-        let mut scratch = BatchScratch::new();
+        let mut scratch = RunScratch::new();
         for machine in MachineConfig::all_presets() {
             for body in bodies {
                 let program = Template::default_stress()
@@ -1150,7 +1134,9 @@ mod tests {
                     steady_detect: false,
                     ..RunConfig::default()
                 };
-                let fast = run_reusing(&simulator, &program, &fast_config, &mut scratch);
+                let fast = simulator
+                    .run_with_scratch(&program, &fast_config, &mut scratch)
+                    .unwrap();
                 let full = simulator.run(&program, &full_config).unwrap();
                 assert_eq!(fast, full, "{} / {body:?}", machine.name);
                 let (fast_traced, fast_traces) =
@@ -1175,8 +1161,10 @@ mod tests {
             asm::parse_block("FMUL v0, v1, v2\nADD x1, x2, x3").unwrap(),
         );
         let simulator = Simulator::new(MachineConfig::cortex_a15());
-        let mut scratch = BatchScratch::new();
-        let result = run_reusing(&simulator, &program, &RunConfig::default(), &mut scratch);
+        let mut scratch = RunScratch::new();
+        let result = simulator
+            .run_with_scratch(&program, &RunConfig::default(), &mut scratch)
+            .unwrap();
         assert_eq!(scratch.runs, 1);
         assert_eq!(
             scratch.steady_hits, 1,
@@ -1190,16 +1178,17 @@ mod tests {
         );
 
         // Disabling detection runs everything the slow way.
-        let mut off_scratch = BatchScratch::new();
-        let off = run_reusing(
-            &simulator,
-            &program,
-            &RunConfig {
-                steady_detect: false,
-                ..RunConfig::default()
-            },
-            &mut off_scratch,
-        );
+        let mut off_scratch = RunScratch::new();
+        let off = simulator
+            .run_with_scratch(
+                &program,
+                &RunConfig {
+                    steady_detect: false,
+                    ..RunConfig::default()
+                },
+                &mut off_scratch,
+            )
+            .unwrap();
         assert_eq!(off_scratch.steady_hits, 0);
         assert_eq!(off_scratch.extrapolated_iterations, 0);
         assert_eq!(result, off);
@@ -1208,12 +1197,14 @@ mod tests {
     #[test]
     fn scratch_reuse_across_programs_stays_clean() {
         let simulator = Simulator::new(MachineConfig::xgene2());
-        let mut scratch = BatchScratch::new();
+        let mut scratch = RunScratch::new();
         let bodies = ["ADD x1, x2, x3", "FMUL v0, v1, v2\nLDR x1, [x10, #8]"];
         for body in bodies {
             let program =
                 Template::default_stress().materialize("r", asm::parse_block(body).unwrap());
-            let reused = run_reusing(&simulator, &program, &RunConfig::quick(), &mut scratch);
+            let reused = simulator
+                .run_with_scratch(&program, &RunConfig::quick(), &mut scratch)
+                .unwrap();
             let fresh = simulator.run(&program, &RunConfig::quick()).unwrap();
             assert_eq!(reused, fresh, "{body:?}");
         }
@@ -1224,7 +1215,7 @@ mod tests {
     fn batch_lanes_match_single_runs_and_errors_stay_per_lane() {
         let bodies = [
             "FMUL v0, v1, v2\nADD x1, x2, x3",
-            "", // empty body: this lane alone must error
+            "", // empty body: this program alone must error
             "MUL x1, x1, x2\nMUL x1, x1, x3",
             "LDR x11, [x10, #0]\nADDI x10, x10, #64",
         ];
@@ -1238,18 +1229,21 @@ mod tests {
             .collect();
         let simulator = Simulator::new(MachineConfig::cortex_a15());
         let config = RunConfig::default();
-        let mut scratch = BatchScratch::new();
+        let mut scratch = RunScratch::new();
         // Two passes through the same scratch: the second reuses the run
         // buffers and the memoized thermal schedule.
         for pass in 0..2 {
-            let batched = simulator.run_batch_with_scratch(&programs, &config, &mut scratch);
-            for (program, lane) in programs.iter().zip(&batched) {
+            let reused: Vec<_> = programs
+                .iter()
+                .map(|program| simulator.run_with_scratch(program, &config, &mut scratch))
+                .collect();
+            for (program, lane) in programs.iter().zip(&reused) {
                 assert_eq!(lane, &simulator.run(program, &config), "pass {pass}");
             }
-            assert_eq!(batched[1], Err(SimError::EmptyProgram));
+            assert_eq!(reused[1], Err(SimError::EmptyProgram));
         }
         assert_eq!(scratch.runs, 6, "only programs past validation count");
-        assert!(scratch.steady_hits >= 4, "steady lanes must still fire");
+        assert!(scratch.steady_hits >= 4, "steady programs must still fire");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! For each machine preset, 64 seeded programs — together covering every
 //! opcode, loads and stores, taken and not-taken branches, and divides —
-//! run with the steady-state detector on and off, in batches of four
+//! run with the steady-state detector on and off, one program per call
 //! through one reused scratch. FNV-1a 64 over every `RunResult` field (floats as their bits)
 //! pins the simulator's output itself, not just agreement between two
 //! paths of one build. One traced run per machine pins the per-cycle
@@ -14,7 +14,7 @@
 use gest_isa::{
     ArchState, Flow, Instruction, MemInit, Opcode, Operand, OperandSlot, Program, Reg, VReg,
 };
-use gest_sim::{BatchScratch, MachineConfig, RunConfig, RunResult, Simulator, Traces};
+use gest_sim::{MachineConfig, RunConfig, RunResult, RunScratch, Simulator, Traces};
 use std::collections::BTreeSet;
 
 /// Programs generated per machine.
@@ -287,8 +287,8 @@ fn cover(programs: &[Program], mem_bytes: usize, coverage: &mut Coverage) {
     }
 }
 
-/// Digests one machine's corpus with the detector on and off (batches of
-/// four through one scratch) and one traced run.
+/// Digests one machine's corpus with the detector on and off (one program
+/// per call through one scratch) and one traced run.
 fn digests(machine: &MachineConfig, programs: &[Program]) -> (u64, u64, u64, u64) {
     let simulator = Simulator::new(machine.clone());
     let mut out = [0u64; 2];
@@ -298,12 +298,14 @@ fn digests(machine: &MachineConfig, programs: &[Program]) -> (u64, u64, u64, u64
             steady_detect,
             ..RunConfig::quick()
         };
-        let mut scratch = BatchScratch::new();
+        let mut scratch = RunScratch::new();
         let mut fnv = Fnv::new();
-        for chunk in programs.chunks(4) {
-            for result in simulator.run_batch_with_scratch(chunk, &config, &mut scratch) {
-                fnv.result(&result.unwrap());
-            }
+        for program in programs {
+            fnv.result(
+                &simulator
+                    .run_with_scratch(program, &config, &mut scratch)
+                    .unwrap(),
+            );
         }
         out[slot] = fnv.0;
         if steady_detect {

@@ -2,7 +2,7 @@
 //! timing, power, and PDN models must uphold their physical invariants.
 
 use gest_isa::{asm, Program, Template};
-use gest_sim::{BatchScratch, MachineConfig, Pdn, RunConfig, Simulator};
+use gest_sim::{MachineConfig, Pdn, RunConfig, RunScratch, Simulator};
 use proptest::prelude::*;
 
 /// A strategy over small loop bodies drawn from a safe instruction menu.
@@ -105,7 +105,7 @@ proptest! {
 
     #[test]
     fn reused_scratch_is_field_identical_to_fresh_scratch_per_program(
-        batch in prop::collection::vec(
+        bodies in prop::collection::vec(
             prop::collection::vec(
                 prop::sample::select(vec![
                     "ADD x1, x2, x3",
@@ -133,9 +133,9 @@ proptest! {
         // One scratch across both machines and every program exercises
         // buffer reuse under geometry changes, not just the first cold
         // run; each program also runs alone on a fresh scratch.
-        let mut scratch = BatchScratch::new();
+        let mut scratch = RunScratch::new();
         for machine in [MachineConfig::cortex_a15(), MachineConfig::athlon_x4()] {
-            let programs: Vec<Program> = batch
+            let programs: Vec<Program> = bodies
                 .iter()
                 .enumerate()
                 .map(|(i, lines)| {
@@ -145,18 +145,14 @@ proptest! {
                 .collect();
             let simulator = Simulator::new(machine);
 
-            let batched = simulator.run_batch_with_scratch(&programs, &config, &mut scratch);
-            prop_assert_eq!(batched.len(), programs.len());
             let mut single_runs = 0u64;
             let mut single_steady = 0u64;
             let mut single_extrapolated = 0u64;
-            for (program, lane) in programs.iter().zip(&batched) {
-                let mut single_scratch = BatchScratch::new();
-                let single = simulator
-                    .run_batch_with_scratch(std::slice::from_ref(program), &config, &mut single_scratch)
-                    .pop()
-                    .unwrap();
-                prop_assert_eq!(lane, &single, "{}", program.name);
+            for program in &programs {
+                let reused = simulator.run_with_scratch(program, &config, &mut scratch);
+                let mut single_scratch = RunScratch::new();
+                let single = simulator.run_with_scratch(program, &config, &mut single_scratch);
+                prop_assert_eq!(reused, single, "{}", program.name);
                 single_runs += single_scratch.runs;
                 single_steady += single_scratch.steady_hits;
                 single_extrapolated += single_scratch.extrapolated_iterations;

@@ -38,7 +38,7 @@ mod writer;
 pub use error::{Position, XmlError};
 pub use escape::{escape_attr, escape_text, unescape};
 pub use reader::{Event, Reader};
-pub use tree::{Document, Element, Node};
+pub use tree::{Document, Element, Node, MAX_DEPTH};
 pub use writer::Writer;
 
 #[cfg(test)]

@@ -4,6 +4,13 @@ use crate::reader::{Event, Reader};
 use crate::XmlError;
 use std::fmt;
 
+/// Deepest element nesting [`Document::parse`] accepts. Building the tree
+/// recurses once per level, and so do its `Display` and `Drop`, so an
+/// unbounded depth would let a hostile document (a `gest serve` request
+/// body, a configuration file) overflow the stack; configuration files
+/// nest about 4 deep.
+pub const MAX_DEPTH: usize = 128;
+
 /// A parsed XML document: exactly one root [`Element`].
 ///
 /// # Examples
@@ -130,6 +137,12 @@ impl Element {
         attributes: Vec<(String, String)>,
         self_closing: bool,
     ) -> Result<Element, XmlError> {
+        if reader.depth() > MAX_DEPTH {
+            return Err(XmlError::Malformed {
+                message: format!("elements nested deeper than {MAX_DEPTH} levels"),
+                position: reader.position(),
+            });
+        }
         let mut element = Element {
             name,
             attributes,
@@ -340,6 +353,37 @@ mod tests {
         let doc = Document::parse("<a x='1'/>").unwrap();
         let root = doc.into_root();
         assert_eq!(root.attr("x"), Some("1"));
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| format!("{}{}", "<a>".repeat(depth), "</a>".repeat(depth));
+        let doc = Document::parse(&nested(MAX_DEPTH)).unwrap();
+        assert_eq!(Document::parse(&doc.to_string()).unwrap(), doc);
+        // A self-closing innermost element counts as a level too.
+        let self_closing = format!(
+            "{}<a/>{}",
+            "<a>".repeat(MAX_DEPTH - 1),
+            "</a>".repeat(MAX_DEPTH - 1)
+        );
+        assert!(Document::parse(&self_closing).is_ok());
+
+        for depth in [MAX_DEPTH + 1, 8_000] {
+            let error = Document::parse(&nested(depth)).unwrap_err();
+            assert!(
+                matches!(&error, XmlError::Malformed { message, .. } if message.contains("nested deeper")),
+                "{depth}: {error}"
+            );
+        }
+        let too_deep = format!(
+            "{}<a/>{}",
+            "<a>".repeat(MAX_DEPTH),
+            "</a>".repeat(MAX_DEPTH)
+        );
+        assert!(Document::parse(&too_deep).is_err());
+        // Depth is released on the way out: siblings each get the full cap.
+        let siblings = format!("<r>{}{}</r>", nested(MAX_DEPTH - 1), nested(MAX_DEPTH - 1));
+        assert!(Document::parse(&siblings).is_ok());
     }
 
     #[test]

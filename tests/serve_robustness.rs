@@ -3,7 +3,8 @@
 //! the terminal states they produce), per-run quotas
 //! (`?max_generations=`, `?deadline_s=`) that expire runs behind a
 //! resumable checkpoint, out-of-range deadlines (refused with `400`, and
-//! skipped in a manifest at startup), and admission control
+//! skipped in a manifest at startup), hostile configuration bodies
+//! (refused with `400`), and admission control
 //! (`max_pending`, free-disk floor) answering `503` + `Retry-After` while
 //! resident runs keep stepping.
 
@@ -446,6 +447,33 @@ fn out_of_range_deadlines_are_rejected_over_http_and_skipped_at_startup() {
     for dir in [&state_dir, &run_dir] {
         let _ = std::fs::remove_dir_all(dir);
     }
+}
+
+#[test]
+fn a_deeply_nested_configuration_body_is_rejected_and_the_service_keeps_answering() {
+    let state_dir = temp_dir("nesting_state");
+    let server = ServeServer::start("127.0.0.1:0", ServeOptions::new(&state_dir)).unwrap();
+    let addr = server.addr().to_string();
+
+    // About 56 KB, far under the body cap: without a depth cap, building
+    // its tree overflows the connection thread's stack and aborts the
+    // whole process.
+    let depth = 8_000;
+    let body = format!("{}{}", "<a>".repeat(depth), "</a>".repeat(depth));
+    let (status, reply) =
+        http_request(&addr, "POST", "/runs", body.as_bytes(), HTTP_TIMEOUT).unwrap();
+    assert_eq!(status, 400, "{}", String::from_utf8_lossy(&reply));
+    assert!(
+        String::from_utf8_lossy(&reply).contains("nested deeper"),
+        "{}",
+        String::from_utf8_lossy(&reply)
+    );
+    let (status, body) = http_request(&addr, "GET", "/runs", &[], HTTP_TIMEOUT).unwrap();
+    assert_eq!(status, 200);
+    assert_eq!(String::from_utf8(body).unwrap().trim(), "[]");
+
+    drop(server);
+    let _ = std::fs::remove_dir_all(&state_dir);
 }
 
 #[test]
