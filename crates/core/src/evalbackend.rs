@@ -48,8 +48,8 @@ impl EvalRequest<'_> {
 ///
 /// Implementations decide the substrate (local threads, remote workers)
 /// and their internal dispatch; the runner owns everything above the raw
-/// measurement: caching, in-flight dedup, fitness, retry/quarantine, and
-/// deterministic result ordering.
+/// measurement: caching, fitness, retry/quarantine, and deterministic
+/// result ordering.
 pub trait EvalBackend: Send + Sync + std::fmt::Debug {
     /// Short backend name for telemetry and diagnostics.
     fn name(&self) -> &str;

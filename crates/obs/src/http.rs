@@ -184,10 +184,12 @@ pub enum ParsedRequest {
 /// Reads and parses one request (head + `Content-Length` body) from the
 /// stream. Total: any byte sequence maps to a [`ParsedRequest`]; I/O
 /// errors (including timeouts) map to `None`, which callers treat as
-/// "drop the connection without a response". Shared by the status
-/// endpoint and `gest-serve` — the route tables differ, the wire
+/// "drop the connection without a response". The answer does not depend
+/// on how the bytes are split across reads: a head whose end lies past
+/// [`MAX_HEAD_BYTES`] is malformed however it arrives. Shared by the
+/// status endpoint and `gest-serve` — the route tables differ, the wire
 /// handling must not.
-pub fn read_http_request(stream: &mut TcpStream) -> Option<ParsedRequest> {
+pub fn read_http_request(stream: &mut impl Read) -> Option<ParsedRequest> {
     let mut buf = Vec::with_capacity(512);
     let mut chunk = [0u8; 512];
     let head_end = loop {
@@ -206,6 +208,10 @@ pub fn read_http_request(stream: &mut TcpStream) -> Option<ParsedRequest> {
             Err(_) => return None,
         }
     };
+    // One read can carry the head's end past the cap.
+    if head_end > MAX_HEAD_BYTES {
+        return Some(ParsedRequest::Malformed);
+    }
     let head = String::from_utf8_lossy(&buf[..head_end]);
     let mut lines = head.lines();
     let request_line = lines.next().unwrap_or("");

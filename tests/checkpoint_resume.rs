@@ -288,6 +288,53 @@ fn resume_refuses_a_tampered_configuration() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Two generations stepped with a checkpoint every two: `checkpoint.bin`
+/// names generation 2 and `population_0000.bin`/`population_0001.bin`
+/// are on disk.
+fn two_generation_checkpoint(tag: &str) -> PathBuf {
+    let dir = temp_dir(tag);
+    let mut run = GestRun::builder()
+        .config(checkpointed_config(&dir, 2))
+        .build()
+        .unwrap();
+    run.step().unwrap();
+    run.step().unwrap();
+    dir
+}
+
+#[test]
+fn resume_refuses_a_checkpoint_before_the_first_generation() {
+    let dir = two_generation_checkpoint("gen0");
+    let mut checkpoint = Checkpoint::load(&dir).unwrap();
+    assert_eq!(checkpoint.generation, 2);
+    checkpoint.generation = 0;
+    checkpoint.save(&dir).unwrap();
+    let err = GestRun::resume(&dir).unwrap_err();
+    assert!(
+        err.to_string()
+            .contains("precedes the first completed generation"),
+        "{err}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn resume_refuses_a_population_file_of_another_generation() {
+    let dir = two_generation_checkpoint("wronggen");
+    std::fs::copy(
+        dir.join("population_0000.bin"),
+        dir.join("population_0001.bin"),
+    )
+    .unwrap();
+    let err = GestRun::resume(&dir).unwrap_err();
+    assert!(
+        err.to_string()
+            .contains("holds generation 0 but the checkpoint expects generation 1"),
+        "{err}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn stale_tmp_files_do_not_confuse_resume() {
     let dir = temp_dir("staletmp");
