@@ -264,7 +264,7 @@ mod tests {
                 measurements: vec![10.25, 0.5],
                 genes: vec![Gene {
                     def_index: 0,
-                    instrs: gest_isa::asm::parse_block("ADD x1, x2, x3").unwrap(),
+                    instrs: gest_isa::asm::parse_block("ADD x1, x2, x3").unwrap().into(),
                 }],
             }),
         }

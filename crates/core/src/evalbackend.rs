@@ -56,7 +56,8 @@ pub trait EvalBackend: Send + Sync + std::fmt::Debug {
 
     /// Number of concurrent measurement slots to drive for `pending`
     /// outstanding candidates (local: threads; remote: workers). The
-    /// runner spawns one driver thread per slot.
+    /// runner drives slot 0 on its own thread and spawns one driver
+    /// thread for each other slot.
     fn slots(&self, pending: usize) -> usize;
 
     /// Measures one candidate, returning the measurement vector and —

@@ -814,11 +814,11 @@ mod tests {
     fn genes_hash_is_content_addressed() {
         let genes_a = vec![gest_isa::Gene {
             def_index: 0,
-            instrs: gest_isa::asm::parse_block("ADD x1, x2, x3").unwrap(),
+            instrs: gest_isa::asm::parse_block("ADD x1, x2, x3").unwrap().into(),
         }];
         let genes_b = vec![gest_isa::Gene {
             def_index: 0,
-            instrs: gest_isa::asm::parse_block("ADD x1, x2, x4").unwrap(),
+            instrs: gest_isa::asm::parse_block("ADD x1, x2, x4").unwrap().into(),
         }];
         assert_eq!(genes_hash(&genes_a), genes_hash(&genes_a.clone()));
         assert_ne!(genes_hash(&genes_a), genes_hash(&genes_b));

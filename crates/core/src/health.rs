@@ -153,7 +153,8 @@ mod tests {
         let reg = |i: u8| Operand::Reg(Reg::new(i).unwrap());
         Gene {
             def_index,
-            instrs: vec![Instruction::new(Opcode::Add, vec![reg(rd), reg(1), reg(2)]).unwrap()],
+            instrs: vec![Instruction::new(Opcode::Add, vec![reg(rd), reg(1), reg(2)]).unwrap()]
+                .into(),
         }
     }
 

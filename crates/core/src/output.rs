@@ -161,12 +161,11 @@ impl SavedIndividual {
         let n_genes = dec.count(2, "genes")?;
         let mut genes = Vec::with_capacity(n_genes);
         for _ in 0..n_genes {
-            let def_index = dec.varint()? as usize;
-            let instrs = dec.instructions()?;
-            if instrs.is_empty() {
+            let gene = dec.gene()?;
+            if gene.is_empty() {
                 return Err(CodecError::Invalid("gene with no instructions".into()));
             }
-            genes.push(Gene { def_index, instrs });
+            genes.push(gene);
         }
         Ok(SavedIndividual {
             id,

@@ -940,8 +940,9 @@ impl GestRun {
     /// which dominates runtime: "5 seconds per measurement … the runtime
     /// is approximately 7 hours").
     ///
-    /// One fan-out per generation: each slot claims contiguous index
-    /// ranges of up to [`EvalBackend::lane_width`] candidates from a
+    /// One fan-out per generation: slot 0 runs on the calling thread and
+    /// every other slot on a scoped thread. Each slot claims contiguous
+    /// index ranges of up to [`EvalBackend::lane_width`] candidates from a
     /// shared atomic cursor (work-stealing), but results land in
     /// per-candidate write-once slots, so the population order — and
     /// therefore the search — is independent of slot scheduling and of
@@ -981,24 +982,27 @@ impl GestRun {
             span: eval_span.id(),
         };
         let next = AtomicUsize::new(0);
-        let next_ref = &next;
-        std::thread::scope(|scope| {
-            for slot in 0..slots {
-                scope.spawn(move || {
-                    let worker = Worker {
-                        index: slot,
-                        counter: format!("eval.worker.{slot}.candidates"),
-                    };
-                    loop {
-                        let start = next_ref.fetch_add(width, Ordering::Relaxed);
-                        if start >= ctx.candidates.len() {
-                            break;
-                        }
-                        let end = ctx.candidates.len().min(start + width);
-                        self.evaluate_chunk(&ctx, start..end, &worker);
-                    }
-                });
+        let claim = &|slot: usize| {
+            let worker = Worker {
+                index: slot,
+                counter: format!("eval.worker.{slot}.candidates"),
+            };
+            loop {
+                let start = next.fetch_add(width, Ordering::Relaxed);
+                if start >= ctx.candidates.len() {
+                    break;
+                }
+                let end = ctx.candidates.len().min(start + width);
+                self.evaluate_chunk(&ctx, start..end, &worker);
             }
+        };
+        // Slot 0 claims on the calling thread, which keeps its simulator
+        // scratch across generations; a one-slot run spawns nothing.
+        std::thread::scope(|scope| {
+            for slot in 1..slots {
+                scope.spawn(move || claim(slot));
+            }
+            claim(0);
         });
 
         drop(eval_span);
@@ -1637,7 +1641,7 @@ mod tests {
         let run = build_run(tiny_config("athlon-x4", "voltage_noise"));
         let genes = vec![gest_isa::Gene {
             def_index: 0,
-            instrs: gest_isa::asm::parse_block("ADD x1, x2, x3").unwrap(),
+            instrs: gest_isa::asm::parse_block("ADD x1, x2, x3").unwrap().into(),
         }];
         let program = run.materialize("probe", &genes);
         let result = gest_sim::Simulator::new(run.config.machine.clone())
@@ -1904,7 +1908,7 @@ mod tests {
     fn in_generation_duplicates_score_identically_with_and_without_the_cache() {
         let gene = |source: &str| gest_isa::Gene {
             def_index: 0,
-            instrs: gest_isa::asm::parse_block(source).unwrap(),
+            instrs: gest_isa::asm::parse_block(source).unwrap().into(),
         };
         let candidate = |id: u64, genes: Vec<gest_isa::Gene>| Candidate {
             id,

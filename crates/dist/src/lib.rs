@@ -65,7 +65,7 @@ mod tests {
             .iter()
             .map(|source| gest_isa::Gene {
                 def_index: 0,
-                instrs: gest_isa::asm::parse_block(source).unwrap(),
+                instrs: gest_isa::asm::parse_block(source).unwrap().into(),
             })
             .collect()
     }

@@ -380,9 +380,7 @@ fn decode_genes(dec: &mut Decoder<'_>) -> Result<Vec<Gene>, DistError> {
     let count = dec.count(2, "genes")?;
     let mut genes = Vec::with_capacity(count);
     for _ in 0..count {
-        let def_index = dec.varint()? as usize;
-        let instrs = dec.instructions()?;
-        genes.push(Gene { def_index, instrs });
+        genes.push(dec.gene()?);
     }
     Ok(genes)
 }
@@ -473,11 +471,11 @@ mod tests {
         let genes = vec![
             Gene {
                 def_index: 2,
-                instrs: gest_isa::asm::parse_block("ADD x1, x2, x3").unwrap(),
+                instrs: gest_isa::asm::parse_block("ADD x1, x2, x3").unwrap().into(),
             },
             Gene {
                 def_index: 0,
-                instrs: gest_isa::asm::parse_block("MUL x4, x5, x6").unwrap(),
+                instrs: gest_isa::asm::parse_block("MUL x4, x5, x6").unwrap().into(),
             },
         ];
         roundtrip(Frame::EvalRequest {
@@ -522,7 +520,7 @@ mod tests {
         // hashes, so worker-side cache keys match content addressing.
         let genes = vec![Gene {
             def_index: 5,
-            instrs: gest_isa::asm::parse_block("ADD x1, x2, x3").unwrap(),
+            instrs: gest_isa::asm::parse_block("ADD x1, x2, x3").unwrap().into(),
         }];
         let mut enc = Encoder::new();
         enc.genes(&genes);

@@ -377,6 +377,18 @@ impl<'a> Decoder<'a> {
         Ok(out)
     }
 
+    /// Reads one gene as [`Encoder::genes`] writes it: its definition
+    /// index, then its instruction block, collected straight into the
+    /// gene's storage (a one-part gene allocates nothing).
+    pub fn gene(&mut self) -> Result<Gene, CodecError> {
+        let def_index = self.varint()? as usize;
+        let len = self.len_prefix("instructions")?;
+        let instrs = (0..len)
+            .map(|_| self.instruction())
+            .collect::<Result<_, _>>()?;
+        Ok(Gene { def_index, instrs })
+    }
+
     /// Reads a whole program.
     pub fn program(&mut self) -> Result<Program, CodecError> {
         let name = self.str()?.to_owned();

@@ -236,7 +236,102 @@ pub struct Gene {
     /// Index into [`InstructionPool::defs`].
     pub def_index: usize,
     /// The concrete instructions (one per definition part).
-    pub instrs: Vec<Instruction>,
+    pub instrs: GeneInstrs,
+}
+
+/// The concrete instructions of one [`Gene`], read as a slice.
+///
+/// Every definition in the shipped pools has one part, so a one-part gene
+/// holds its instruction inline and building, cloning or dropping it never
+/// touches the heap; only multi-part sequence genes own a boxed slice.
+/// Equality and `Debug` are the slice's, so the two forms are
+/// indistinguishable to readers.
+///
+/// # Examples
+///
+/// ```
+/// # fn main() -> Result<(), gest_isa::IsaError> {
+/// use gest_isa::{asm, GeneInstrs};
+///
+/// let block = asm::parse_block("ADD x1, x2, x3")?;
+/// let instrs = GeneInstrs::from(block.clone());
+/// assert_eq!(&*instrs, block.as_slice());
+/// assert_eq!(instrs, block.into_iter().collect::<GeneInstrs>());
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Clone)]
+pub struct GeneInstrs(Parts);
+
+/// [`GeneInstrs`]' storage. `Many` never holds exactly one instruction.
+#[derive(Clone)]
+enum Parts {
+    One(Instruction),
+    Many(Box<[Instruction]>),
+}
+
+impl std::ops::Deref for GeneInstrs {
+    type Target = [Instruction];
+
+    fn deref(&self) -> &[Instruction] {
+        match &self.0 {
+            Parts::One(instr) => std::slice::from_ref(instr),
+            Parts::Many(instrs) => instrs,
+        }
+    }
+}
+
+impl std::ops::DerefMut for GeneInstrs {
+    fn deref_mut(&mut self) -> &mut [Instruction] {
+        match &mut self.0 {
+            Parts::One(instr) => std::slice::from_mut(instr),
+            Parts::Many(instrs) => instrs,
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a GeneInstrs {
+    type Item = &'a Instruction;
+    type IntoIter = std::slice::Iter<'a, Instruction>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl From<Vec<Instruction>> for GeneInstrs {
+    fn from(instrs: Vec<Instruction>) -> GeneInstrs {
+        instrs.into_iter().collect()
+    }
+}
+
+impl FromIterator<Instruction> for GeneInstrs {
+    fn from_iter<I: IntoIterator<Item = Instruction>>(iter: I) -> GeneInstrs {
+        let mut iter = iter.into_iter();
+        let Some(first) = iter.next() else {
+            return GeneInstrs(Parts::Many(Box::default()));
+        };
+        let Some(second) = iter.next() else {
+            return GeneInstrs(Parts::One(first));
+        };
+        let mut instrs = vec![first, second];
+        instrs.extend(iter);
+        GeneInstrs(Parts::Many(instrs.into_boxed_slice()))
+    }
+}
+
+impl PartialEq for GeneInstrs {
+    fn eq(&self, other: &GeneInstrs) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for GeneInstrs {}
+
+impl fmt::Debug for GeneInstrs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
 }
 
 impl Gene {
@@ -928,6 +1023,65 @@ mod tests {
         assert_eq!(counts[0], 2, "two ADDs");
         assert_eq!(counts[3], 2, "LDR + STR");
         assert_eq!(InstructionPool::unique_defs(&genes), 2);
+    }
+
+    #[test]
+    fn a_one_part_gene_is_the_same_however_it_was_built() {
+        use crate::codec::{Decoder, Encoder};
+        let pool = paper_ldr_pool();
+        let mut rng = StdRng::seed_from_u64(26);
+        let instantiated = pool.instantiate(0, &mut rng);
+        let instr = *instantiated.first();
+        let from_vec = Gene {
+            def_index: 0,
+            instrs: vec![instr].into(),
+        };
+        let collected = Gene {
+            def_index: 0,
+            instrs: std::iter::once(instr).collect(),
+        };
+        let mut enc = Encoder::new();
+        enc.genes(std::slice::from_ref(&from_vec));
+        let bytes = enc.into_bytes();
+        let mut dec = Decoder::new(&bytes);
+        assert_eq!(dec.count(2, "genes").unwrap(), 1);
+        let decoded = dec.gene().unwrap();
+        for gene in [&from_vec, &collected, &decoded] {
+            assert_eq!(gene, &instantiated);
+            assert_eq!(format!("{gene:?}"), format!("{instantiated:?}"));
+            assert_eq!(gene.to_string(), instantiated.to_string());
+            assert_eq!(pool.render(gene), pool.render(&instantiated));
+        }
+        // `Debug` and equality are the slice's.
+        assert_eq!(format!("{:?}", decoded.instrs), format!("{:?}", [instr]));
+        assert_eq!(*decoded.instrs, [instr]);
+        // A multi-part gene built either way is the same too, and never
+        // equals its one-part prefix.
+        let block = vec![instr, Instruction::nop(), instr];
+        let many = GeneInstrs::from(block.clone());
+        assert_eq!(many, block.iter().copied().collect::<GeneInstrs>());
+        assert_eq!(format!("{many:?}"), format!("{block:?}"));
+        assert_ne!(many, instantiated.instrs);
+        assert!(GeneInstrs::from(Vec::new()).is_empty());
+    }
+
+    #[test]
+    fn operand_mutation_rewrites_a_part_in_place() {
+        for (pool, def_index) in [(paper_ldr_pool(), 0), (sequence_pool(), 1)] {
+            let mut rng = StdRng::seed_from_u64(27);
+            let mut gene = pool.instantiate(def_index, &mut rng);
+            let parts = gene.instrs.as_ptr();
+            let mut changed = 0;
+            for _ in 0..50 {
+                let before = gene.clone();
+                pool.mutate_operand(&mut gene, &mut rng);
+                assert_eq!(gene.instrs.as_ptr(), parts, "the parts stay where they are");
+                assert_eq!(gene.len(), before.len());
+                assert_eq!(pool.match_def_seq(&gene.instrs), Some(def_index));
+                changed += usize::from(gene != before);
+            }
+            assert!(changed > 0, "50 operand mutations never changed the gene");
+        }
     }
 
     #[test]

@@ -49,7 +49,8 @@ mod semantics;
 mod template;
 
 pub use def::{
-    Gene, InstructionDef, InstructionPart, InstructionPool, OperandDef, OperandKind, PoolBuilder,
+    Gene, GeneInstrs, InstructionDef, InstructionPart, InstructionPool, OperandDef, OperandKind,
+    PoolBuilder,
 };
 pub use def_xml::{pool_from_xml, pool_to_xml};
 pub use error::{CodecError, ExecError, IsaError};

@@ -1,21 +1,27 @@
 //! Allocation budget of the instruction representation: operands live
 //! inline, so copying an instruction never touches the heap and turning a
 //! loop body into a program costs a fixed number of allocations however
-//! long the body is. The decoders of persisted files are held to a budget
-//! too: a count the input cannot hold is truncation, rejected before any
-//! capacity is reserved for it.
+//! long the body is. A one-part gene holds its instruction inline too, so
+//! breeding a generation costs a fixed number of allocations per
+//! individual however many genes it has. The decoders of persisted files
+//! are held to a budget too: a count the input cannot hold is truncation,
+//! rejected before any capacity is reserved for it.
 
-use gest_core::{Checkpoint, SavedIndividual, SavedPopulation};
-use gest_ga::{EngineState, OpCounts};
+use gest_core::{power_pool, Checkpoint, PoolGenetics, SavedIndividual, SavedPopulation};
+use gest_ga::{EngineState, GaConfig, GaEngine, OpCounts, Population};
 use gest_isa::codec::Encoder;
 use gest_isa::{asm, CodecError, Gene, Instruction, Template};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 // An instruction is a small plain value.
 const _: () = assert!(std::mem::size_of::<Instruction>() <= 24);
 const fn assert_copy<T: Copy>() {}
 const _: () = assert_copy::<Instruction>();
+
+// Holding a one-part gene's instruction inline does not grow the gene.
+const _: () = assert!(std::mem::size_of::<Gene>() <= 32);
 
 /// The system allocator, counting allocations and the bytes they request
 /// on the current thread (so tests running in parallel do not see each
@@ -110,11 +116,53 @@ fn materialize_allocates_the_same_for_any_body_length() {
 }
 
 #[test]
+fn cloning_a_one_part_gene_allocates_nothing() {
+    let gene = Gene {
+        def_index: 3,
+        instrs: body(1).into(),
+    };
+    let (copy, count) = allocations(|| clone_of(&gene));
+    assert_eq!(count, 0);
+    assert_eq!(copy, gene);
+}
+
+/// Allocations `GaEngine::next_generation` makes breeding one generation
+/// of 20 individuals of `individual_size` one-part genes.
+fn breeding_allocations(individual_size: usize) -> usize {
+    let config = GaConfig {
+        population_size: 20,
+        individual_size,
+        // Every mutation path runs many times.
+        mutation_rate: 0.2,
+        ..GaConfig::default()
+    };
+    let mut engine = GaEngine::new(config, PoolGenetics::new(Arc::new(power_pool())), 7);
+    let seeded = engine.seed();
+    let population = Population::evaluate(0, seeded, |genes| {
+        let fitness = genes.iter().map(|gene| gene.def_index as f64).sum();
+        (fitness, vec![fitness])
+    });
+    let (next, count) = allocations(|| engine.next_generation(&population));
+    assert_eq!(next.len(), 20);
+    assert!(next.iter().all(|c| c.genes.len() == individual_size));
+    count
+}
+
+#[test]
+fn breeding_allocates_the_same_for_any_individual_size() {
+    assert_eq!(
+        breeding_allocations(10),
+        breeding_allocations(100),
+        "breeding must be O(1) allocations per individual"
+    );
+}
+
+#[test]
 fn genes_hash_streams_without_allocating() {
     let genes: Vec<Gene> = (0..50)
         .map(|def_index| Gene {
             def_index,
-            instrs: body(1 + def_index % 3),
+            instrs: body(1 + def_index % 3).into(),
         })
         .collect();
     let (hash, count) = allocations(|| gest_core::genes_hash(&genes));

@@ -52,13 +52,17 @@ fn instruction_strategy() -> impl Strategy<Value = Instruction> {
 }
 
 /// Strategy over genes: one to three instructions under a definition
-/// index.
+/// index, so both the inline one-part and the boxed multi-part storage
+/// round-trip.
 fn gene_strategy() -> impl Strategy<Value = Gene> {
     (
         0usize..1000,
         prop::collection::vec(instruction_strategy(), 1..4),
     )
-        .prop_map(|(def_index, instrs)| Gene { def_index, instrs })
+        .prop_map(|(def_index, instrs)| Gene {
+            def_index,
+            instrs: instrs.into(),
+        })
 }
 
 /// Strategy over saved individuals with finite fitness and measurements

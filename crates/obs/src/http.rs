@@ -192,10 +192,15 @@ pub enum ParsedRequest {
 pub fn read_http_request(stream: &mut impl Read) -> Option<ParsedRequest> {
     let mut buf = Vec::with_capacity(512);
     let mut chunk = [0u8; 512];
+    // Every window starting before `scanned` has been searched already; a
+    // terminator straddling two reads starts at most 3 bytes before the
+    // new data, so each byte is scanned a bounded number of times.
+    let mut scanned = 0;
     let head_end = loop {
-        if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-            break pos + 4;
+        if let Some(pos) = buf[scanned..].windows(4).position(|w| w == b"\r\n\r\n") {
+            break scanned + pos + 4;
         }
+        scanned = buf.len().saturating_sub(3);
         if buf.len() >= MAX_HEAD_BYTES {
             return Some(ParsedRequest::Malformed);
         }

@@ -3,7 +3,7 @@
 
 use crate::Event;
 use std::fs::File;
-use std::io::{self, BufWriter, Write};
+use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -115,11 +115,13 @@ impl JsonlSink {
     /// I/O errors opening the file.
     pub fn append(path: impl AsRef<Path>) -> io::Result<JsonlSink> {
         let path = path.as_ref().to_path_buf();
-        let needs_guard_newline = match std::fs::read(&path) {
-            Ok(bytes) => !bytes.is_empty() && bytes.last() != Some(&b'\n'),
-            Err(_) => false,
-        };
-        let file = File::options().create(true).append(true).open(&path)?;
+        let mut file = File::options()
+            .create(true)
+            .read(true)
+            .append(true)
+            .open(&path)?;
+        // Only the last byte matters, however long the trace has grown.
+        let needs_guard_newline = ends_mid_line(&mut file).unwrap_or(false);
         let mut writer = BufWriter::new(file);
         if needs_guard_newline {
             writer.write_all(b"\n")?;
@@ -134,6 +136,17 @@ impl JsonlSink {
     pub fn path(&self) -> &Path {
         &self.path
     }
+}
+
+/// Whether `file` is non-empty and its last byte is not a newline.
+fn ends_mid_line(file: &mut File) -> io::Result<bool> {
+    if file.metadata()?.len() == 0 {
+        return Ok(false);
+    }
+    file.seek(SeekFrom::End(-1))?;
+    let mut last = [0u8; 1];
+    file.read_exact(&mut last)?;
+    Ok(last[0] != b'\n')
 }
 
 impl Sink for JsonlSink {
@@ -190,6 +203,44 @@ mod tests {
             t_us: 1,
             fields: vec![],
         }
+    }
+
+    /// The file `append` leaves behind when `before` is the trace's
+    /// content (`None`: no file) and one event is written.
+    fn after_append(name: &str, before: Option<&[u8]>) -> String {
+        let path =
+            std::env::temp_dir().join(format!("gest_jsonl_{name}_{}.jsonl", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        if let Some(bytes) = before {
+            std::fs::write(&path, bytes).unwrap();
+        }
+        {
+            let sink = JsonlSink::append(&path).unwrap();
+            sink.event(&point("next"));
+            sink.flush();
+        }
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        text
+    }
+
+    #[test]
+    fn append_guards_only_a_torn_last_line() {
+        let event = {
+            let mut line = String::new();
+            point("next").to_json().write(&mut line);
+            line + "\n"
+        };
+        assert_eq!(after_append("missing", None), event);
+        assert_eq!(after_append("empty", Some(b"")), event);
+        assert_eq!(
+            after_append("whole", Some(b"{\"a\":1}\n")),
+            format!("{{\"a\":1}}\n{event}")
+        );
+        assert_eq!(
+            after_append("torn", Some(b"{\"a\":1}\n{\"b\"")),
+            format!("{{\"a\":1}}\n{{\"b\"\n{event}")
+        );
     }
 
     #[test]
