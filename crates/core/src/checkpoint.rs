@@ -41,6 +41,7 @@ use crate::output::{atomic_write, SavedIndividual, WriteFs};
 use gest_ga::{EngineState, GenerationSummary, OpCounts};
 use gest_isa::codec::{Decoder, Encoder};
 use gest_isa::CodecError;
+use std::fmt;
 use std::fs;
 use std::path::Path;
 
@@ -59,12 +60,39 @@ pub const CHECKPOINT_FILE: &str = "checkpoint.bin";
 /// fitness would silently break bit-identity; the fingerprint turns that
 /// into a loud [`GestError::Config`].
 pub fn config_fingerprint(config_xml: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in config_xml.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut hash = Fingerprint::new();
+    hash.push(config_xml);
+    hash.finish()
+}
+
+/// A running [`config_fingerprint`]: the hash of everything written so
+/// far, so a rendering can stream into it piece by piece instead of being
+/// assembled first.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Fingerprint(u64);
+
+impl Fingerprint {
+    pub(crate) fn new() -> Fingerprint {
+        Fingerprint(0xcbf2_9ce4_8422_2325)
     }
-    hash
+
+    pub(crate) fn push(&mut self, text: &str) {
+        for byte in text.bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    pub(crate) fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl fmt::Write for Fingerprint {
+    fn write_str(&mut self, text: &str) -> fmt::Result {
+        self.push(text);
+        Ok(())
+    }
 }
 
 /// Everything needed to continue a run from the end of a generation,

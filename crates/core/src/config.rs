@@ -1,5 +1,6 @@
 //! The main configuration (the paper's main XML configuration file).
 
+use crate::checkpoint::Fingerprint;
 use crate::error::GestError;
 use crate::fault::FaultPolicy;
 use crate::pools::full_pool;
@@ -7,8 +8,9 @@ use gest_ga::{CrossoverOp, GaConfig, SelectionOp};
 use gest_isa::{pool_from_xml, pool_to_xml, InstructionPool, Template};
 use gest_sim::{MachineConfig, RunConfig};
 use gest_xml::{Document, Element};
+use std::fmt::Write;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Everything a GeST run needs (paper Figure 1, "inputs").
 #[derive(Debug, Clone)]
@@ -192,11 +194,44 @@ impl GestConfig {
     /// directory).
     pub fn to_xml(&self) -> Element {
         let mut root = Element::new("gest");
+        for child in self.settings_xml() {
+            root.push_child(child);
+        }
+        root.push_child(pool_to_xml(&self.pool));
+        root.push_child(self.template_xml());
+        root
+    }
+
+    /// The configuration fingerprint: [`config_fingerprint`] of the
+    /// compact [`to_xml`](GestConfig::to_xml) rendering, the value
+    /// `config.xml` hashes to. The rendering streams into the hash
+    /// without being assembled, and the pool's part of it is the pool's
+    /// memoized [`InstructionPool::xml_text`], so no pool subtree is
+    /// built after a pool's first fingerprint.
+    ///
+    /// [`config_fingerprint`]: crate::config_fingerprint
+    pub fn fingerprint(&self) -> u64 {
+        let mut hash = Fingerprint::new();
+        // `<gest>` has children and no attributes: compact rendering
+        // puts its children straight between the two tags.
+        hash.push("<gest>");
+        for child in self.settings_xml() {
+            let _ = write!(hash, "{child}");
+        }
+        hash.push(self.pool.xml_text());
+        let _ = write!(hash, "{}</gest>", self.template_xml());
+        hash.finish()
+    }
+
+    /// The children of [`to_xml`](GestConfig::to_xml)'s root that come
+    /// before the pool.
+    fn settings_xml(&self) -> Vec<Element> {
+        let mut elements = Vec::with_capacity(6);
         let mut target = Element::new("target");
         target.set_attr("machine", &self.machine.name);
         target.set_attr("measurement", &self.measurement_name);
         target.set_attr("fitness", &self.fitness_name);
-        root.push_child(target);
+        elements.push(target);
 
         let mut ga = Element::new("ga");
         ga.set_attr("population_size", self.ga.population_size.to_string());
@@ -214,7 +249,7 @@ impl GestConfig {
         ga.set_attr("tournament_size", size.to_string());
         ga.set_attr("generations", self.generations.to_string());
         ga.set_attr("seed", self.seed.to_string());
-        root.push_child(ga);
+        elements.push(ga);
 
         let mut run = Element::new("run");
         run.set_attr("max_iterations", self.run_config.max_iterations.to_string());
@@ -222,7 +257,7 @@ impl GestConfig {
         if let Some(every) = self.checkpoint_every {
             run.set_attr("checkpoint_every", every.to_string());
         }
-        root.push_child(run);
+        elements.push(run);
 
         let mut fault = Element::new("fault");
         fault.set_attr("max_retries", self.fault_policy.max_retries.to_string());
@@ -234,26 +269,36 @@ impl GestConfig {
             fault.set_attr("watchdog_ms", watchdog.to_string());
         }
         fault.set_attr("quarantine", self.fault_policy.quarantine.to_string());
-        root.push_child(fault);
+        elements.push(fault);
 
         if let Some(dir) = &self.output_dir {
             let mut output = Element::new("output");
             output.set_attr("dir", dir.display().to_string());
-            root.push_child(output);
+            elements.push(output);
         }
         if let Some(file) = &self.seed_population {
             let mut seed = Element::new("seed_population");
             seed.set_attr("file", file.display().to_string());
-            root.push_child(seed);
+            elements.push(seed);
         }
 
-        root.push_child(pool_to_xml(&self.pool));
+        elements
+    }
 
+    /// The root's last child, after the pool.
+    fn template_xml(&self) -> Element {
         let mut template = Element::new("template");
         template.push_text_node(format!("\n{}", self.template.to_source()));
-        root.push_child(template);
-        root
+        template
     }
+}
+
+/// The [`full_pool`] every configuration without a pool of its own
+/// shares: built once per process, so building a configuration does not
+/// rebuild it, and its memoized rendering serves every fingerprint.
+fn default_pool() -> Arc<InstructionPool> {
+    static POOL: OnceLock<Arc<InstructionPool>> = OnceLock::new();
+    Arc::clone(POOL.get_or_init(|| Arc::new(full_pool())))
 }
 
 fn parse_attr<T: std::str::FromStr>(name: &str, value: &str) -> Result<T, GestError> {
@@ -549,7 +594,7 @@ impl GestConfigBuilder {
             generations: self.generations,
             seed: self.seed,
             run_config: self.run_config,
-            pool: Arc::new(self.pool.unwrap_or_else(full_pool)),
+            pool: self.pool.map_or_else(default_pool, Arc::new),
             template: self.template.unwrap_or_else(Template::default_stress),
             output_dir: self.output_dir,
             seed_population: self.seed_population,
@@ -736,6 +781,53 @@ MOVI x10, #0
         let reparsed = GestConfig::from_xml_str(&config.to_xml().to_string()).unwrap();
         assert_eq!(reparsed.output_dir, config.output_dir);
         assert_eq!(reparsed.seed_population, config.seed_population);
+    }
+
+    #[test]
+    fn fingerprint_is_the_hash_of_the_rendering() {
+        let rendered =
+            |config: &GestConfig| crate::config_fingerprint(&config.to_xml().to_string());
+        let mut full = GestConfig::builder("athlon-x4")
+            .measurement("voltage_noise")
+            .checkpoint_every(4)
+            .fault_policy(FaultPolicy {
+                max_retries: 2,
+                backoff_base_ms: 5,
+                deadline_ms: Some(100),
+                watchdog_ms: Some(900),
+                quarantine: true,
+            })
+            .build()
+            .unwrap();
+        full.output_dir = Some("runs/a & b <c>".into());
+        full.seed_population = Some("runs/\"q\"/population_0001.bin".into());
+        let parsed = GestConfig::from_xml_str(&full.to_xml().to_string()).unwrap();
+        let custom = GestConfig::builder("cortex-a7")
+            .pool(crate::llc_pool())
+            .build()
+            .unwrap();
+        for config in [
+            GestConfig::builder("cortex-a15").build().unwrap(),
+            full,
+            parsed,
+            custom,
+        ] {
+            let expected = rendered(&config);
+            assert_eq!(
+                config.fingerprint(),
+                expected,
+                "first call renders the pool"
+            );
+            assert_eq!(config.fingerprint(), expected, "later calls reuse it");
+        }
+    }
+
+    #[test]
+    fn configurations_without_a_pool_share_the_default_one() {
+        let a = GestConfig::builder("cortex-a15").build().unwrap();
+        let b = GestConfig::builder("athlon-x4").build().unwrap();
+        assert!(Arc::ptr_eq(&a.pool, &b.pool));
+        assert_eq!(*a.pool, full_pool());
     }
 
     #[test]

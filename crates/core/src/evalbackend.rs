@@ -55,9 +55,12 @@ pub trait EvalBackend: Send + Sync + std::fmt::Debug {
     fn name(&self) -> &str;
 
     /// Number of concurrent measurement slots to drive for `pending`
-    /// outstanding candidates (local: threads; remote: workers). The
-    /// runner drives slot 0 on its own thread and spawns one driver
-    /// thread for each other slot.
+    /// outstanding chunks of at most [`lane_width`](EvalBackend::lane_width)
+    /// candidates (local: threads; remote: workers). The runner asks once
+    /// per generation, on the thread stepping the run, for the chunks of
+    /// the candidates its cache could not answer; a generation the cache
+    /// answers in full never asks. It drives slot 0 on its own thread and
+    /// spawns one scoped thread for each other slot.
     fn slots(&self, pending: usize) -> usize;
 
     /// Measures one candidate, returning the measurement vector and —

@@ -295,14 +295,29 @@ impl EvalCache {
         self.config_fp
     }
 
-    /// Looks up a key, refreshing its recency on a hit.
+    /// Looks up a key, refreshing its recency on a hit, and copies out
+    /// the whole entry.
     pub fn get(&self, key: &EvalKey) -> Option<CachedEval> {
+        self.probe(key, CachedEval::clone)
+    }
+
+    /// [`get`](EvalCache::get) for a reader that needs only the
+    /// measurements: a hit copies out the measurement vector alone, not
+    /// the simulator detail. Hit/miss counts and recency are updated
+    /// exactly as by `get`.
+    pub fn measurements(&self, key: &EvalKey) -> Option<Vec<f64>> {
+        self.probe(key, |value| value.measurements.clone())
+    }
+
+    /// One counted lookup under the lock: on a hit, refreshes the entry's
+    /// recency and hands it to `read`.
+    fn probe<T>(&self, key: &EvalKey, read: impl FnOnce(&CachedEval) -> T) -> Option<T> {
         let mut inner = self.lock();
         match inner.map.get(key).copied() {
             Some(index) => {
                 inner.touch(index);
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(inner.nodes[index].value.clone())
+                Some(read(&inner.nodes[index].value))
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -567,19 +582,33 @@ mod tests {
 
     #[test]
     fn lru_evicts_oldest_under_pressure() {
-        // Three entries of 144 bytes each; cap at two of them.
-        let cache = EvalCache::new(300, 99);
-        cache.insert(key(1), value(1.0));
-        cache.insert(key(2), value(2.0));
-        let _ = cache.get(&key(1)); // refresh 1; 2 becomes LRU
-        cache.insert(key(3), value(3.0));
-        assert!(cache.get(&key(2)).is_none(), "LRU entry evicted");
-        assert!(cache.get(&key(1)).is_some());
-        assert!(cache.get(&key(3)).is_some());
-        let stats = cache.stats();
-        assert_eq!(stats.evictions, 1);
-        assert_eq!(stats.entries, 2);
-        assert!(stats.bytes <= 300);
+        // Both lookups count and refresh recency alike; `measurements`
+        // hands back the entry's measurements alone.
+        let probes: [fn(&EvalCache, u128) -> bool; 2] = [
+            |cache, h| cache.get(&key(h)).is_some(),
+            |cache, h| {
+                cache
+                    .measurements(&key(h))
+                    .inspect(|m| assert_eq!(*m, value(h as f64).measurements))
+                    .is_some()
+            },
+        ];
+        for probe in probes {
+            // Three entries of 144 bytes each; cap at two of them.
+            let cache = EvalCache::new(300, 99);
+            cache.insert(key(1), value(1.0));
+            cache.insert(key(2), value(2.0));
+            assert!(probe(&cache, 1)); // refresh 1; 2 becomes LRU
+            cache.insert(key(3), value(3.0));
+            assert!(!probe(&cache, 2), "LRU entry evicted");
+            assert!(probe(&cache, 1));
+            assert!(probe(&cache, 3));
+            let stats = cache.stats();
+            assert_eq!((stats.hits, stats.misses), (3, 1));
+            assert_eq!(stats.evictions, 1);
+            assert_eq!(stats.entries, 2);
+            assert!(stats.bytes <= 300);
+        }
     }
 
     #[test]

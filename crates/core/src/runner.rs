@@ -20,7 +20,7 @@ use gest_ga::{Candidate, Evaluated, GaEngine, History, Population};
 use gest_isa::{Gene, Program};
 use gest_telemetry::{Buckets, FieldValue, SpanGuard, Telemetry};
 use std::borrow::Cow;
-use std::ops::Range;
+use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -333,7 +333,7 @@ impl GestRunBuilder {
                 ))
             }
             (Some(config), None) => {
-                let fingerprint = config_fingerprint(&config.to_xml().to_string());
+                let fingerprint = config.fingerprint();
                 (config, fingerprint, None)
             }
             (None, Some(dir)) => {
@@ -935,45 +935,50 @@ impl GestRun {
         self.telemetry.finish();
     }
 
-    /// Evaluates candidates in parallel across the backend's slots (the
-    /// substrate analogue of the paper's per-individual measure step,
-    /// which dominates runtime: "5 seconds per measurement … the runtime
-    /// is approximately 7 hours").
+    /// Evaluates one generation's candidates (the substrate analogue of
+    /// the paper's per-individual measure step, which dominates runtime:
+    /// "5 seconds per measurement … the runtime is approximately 7
+    /// hours") in three steps:
     ///
-    /// One fan-out per generation: slot 0 runs on the calling thread and
-    /// every other slot on a scoped thread. Each slot claims contiguous
-    /// index ranges of up to [`EvalBackend::lane_width`] candidates from a
-    /// shared atomic cursor (work-stealing), but results land in
-    /// per-candidate write-once slots, so the population order — and
-    /// therefore the search — is independent of slot scheduling and of
-    /// the width. Batching is wall-clock only: every lane is measured
-    /// alone, as at width one.
+    /// 1. **Keys and hits first, on the calling thread.** Each candidate's
+    ///    [`genes_hash`] is taken once and the cache probed once; a hit is
+    ///    scored right there. The first miss of a key makes its candidate
+    ///    a *leader*; a later candidate with the same key is a *follower*
+    ///    and is not probed yet.
+    /// 2. **Only the leaders fan out.** Slot 0 is the calling thread and
+    ///    every other [`EvalBackend::slots`] slot a scoped thread; each
+    ///    claims chunks of up to [`EvalBackend::lane_width`] leaders from
+    ///    a shared cursor. A generation without leaders spawns nothing.
+    /// 3. **Followers after the join.** Each follower probes once, which
+    ///    hits once its leader has inserted. A follower whose leader did
+    ///    not land in the cache (it was quarantined or failed) is measured
+    ///    on the calling thread like a leader.
     ///
-    /// A same-generation duplicate is a cache hit when its twin has
-    /// already filled the cache, and a second measurement of the same
-    /// content otherwise; content-purity makes the two bit-identical.
-    /// Evaluation fills only `(fitness, measurements)` slots; the
-    /// candidates' ids, parents and genes move into the population at the
-    /// end, so no genome is copied.
+    /// With the cache off, or a measurement that is not content-pure,
+    /// there are no keys and every candidate is a leader. Cache lookups
+    /// equal candidates either way.
+    ///
+    /// Results land in per-candidate write-once slots, so the population
+    /// order — and therefore the search — is independent of slot
+    /// scheduling and of the width; content-purity makes a hit
+    /// bit-identical to a fresh measurement. Evaluation fills only
+    /// `(fitness, measurements)` slots; the candidates' ids, parents and
+    /// genes move into the population at the end, so no genome is copied.
     fn evaluate(
         &self,
         generation: u32,
         candidates: Vec<Candidate<Gene>>,
         parent_span: Option<u64>,
     ) -> Result<Population<Gene>, GestError> {
-        let width = self.backend.lane_width().max(1);
-        let slots = self.backend.slots(candidates.len().div_ceil(width)).max(1);
         let eval_span = self.telemetry.span_under(
             parent_span,
             "evaluate",
             &[
                 ("generation", u64::from(generation).into()),
                 ("candidates", candidates.len().into()),
-                ("threads", slots.into()),
                 ("backend", self.backend.name().into()),
             ],
         );
-
         let results: Vec<EvalSlot> = candidates.iter().map(|_| OnceLock::new()).collect();
         let ctx = EvalContext {
             generation,
@@ -981,29 +986,29 @@ impl GestRun {
             results: &results,
             span: eval_span.id(),
         };
-        let next = AtomicUsize::new(0);
-        let claim = &|slot: usize| {
-            let worker = Worker {
-                index: slot,
-                counter: format!("eval.worker.{slot}.candidates"),
-            };
-            loop {
-                let start = next.fetch_add(width, Ordering::Relaxed);
-                if start >= ctx.candidates.len() {
-                    break;
-                }
-                let end = ctx.candidates.len().min(start + width);
-                self.evaluate_chunk(&ctx, start..end, &worker);
-            }
+        let caller = Worker::new(0);
+        let (leaders, followers) = match &self.eval_cache {
+            Some(cache) => self.resolve_hits(&ctx, cache, &caller),
+            None => (
+                (0..candidates.len()).map(|index| (index, None)).collect(),
+                Vec::new(),
+            ),
         };
-        // Slot 0 claims on the calling thread, which keeps its simulator
-        // scratch across generations; a one-slot run spawns nothing.
-        std::thread::scope(|scope| {
-            for slot in 1..slots {
-                scope.spawn(move || claim(slot));
-            }
-            claim(0);
-        });
+        let threads = self.fan_out(&ctx, &leaders, &caller);
+        if let Some(cache) = &self.eval_cache {
+            self.resolve_followers(&ctx, cache, &followers, &caller);
+        }
+        if self.telemetry.is_enabled() {
+            self.telemetry.point(
+                "evaluate.fanout",
+                &[
+                    ("generation", u64::from(generation).into()),
+                    ("leaders", leaders.len().into()),
+                    ("followers", followers.len().into()),
+                    ("threads", threads.into()),
+                ],
+            );
+        }
 
         drop(eval_span);
         let mut individuals = Vec::with_capacity(candidates.len());
@@ -1024,94 +1029,193 @@ impl GestRun {
         })
     }
 
-    /// Evaluates one claimed range of candidates under the configured
-    /// [`crate::FaultPolicy`].
-    ///
-    /// Every lane gets one `eval.candidate` span covering all its
-    /// attempts, parented to the surrounding `evaluate` span (the
-    /// thread-local stack cannot see across threads), and its cache key
-    /// is hashed once, here. Each attempt probes the cache first, so hits
-    /// complete without a measurement; the misses go to the backend as
-    /// one [`GestRun::measure_chunk`] call. Lanes that fail — an error, a
-    /// panic, a non-finite value, a tripped watchdog or a blown deadline
-    /// — are retried together as one smaller batch after the policy's
-    /// backoff, each attempt counting against every failed lane's retry
-    /// budget. A lane out of retries is quarantined or fails the run on
-    /// its own.
-    fn evaluate_chunk(&self, ctx: &EvalContext<'_>, chunk: Range<usize>, worker: &Worker) {
-        let EvalContext {
-            generation,
-            candidates,
-            results,
-            span: parent_span,
-        } = *ctx;
+    /// Step 1 of [`GestRun::evaluate`], on the calling thread: keys every
+    /// candidate, settles the hits, and returns the leaders (in candidate
+    /// order) and the followers with their keys.
+    fn resolve_hits(
+        &self,
+        ctx: &EvalContext<'_>,
+        cache: &EvalCache,
+        caller: &Worker,
+    ) -> (Vec<Lane>, Vec<(usize, EvalKey)>) {
+        let started = Instant::now();
+        let mut leaders = Vec::new();
+        let mut followers = Vec::new();
+        let mut missing = HashSet::new();
+        for (index, candidate) in ctx.candidates.iter().enumerate() {
+            let key = self.eval_key(genes_hash(&candidate.genes));
+            if missing.contains(&key.genes_hash) {
+                followers.push((index, key));
+            } else if !self.settle_hit(ctx, cache, index, &key, started, caller) {
+                missing.insert(key.genes_hash);
+                leaders.push((index, Some(key)));
+            }
+        }
+        (leaders, followers)
+    }
+
+    /// Step 2 of [`GestRun::evaluate`]: measures `leaders` across the
+    /// backend's slots over their chunks and returns how many slots ran
+    /// (0 without leaders). Slot 0 is the calling thread, which keeps its
+    /// simulator scratch across generations; only the other slots are
+    /// spawned, so a one-slot fan-out spawns nothing.
+    fn fan_out(&self, ctx: &EvalContext<'_>, leaders: &[Lane], caller: &Worker) -> usize {
+        if leaders.is_empty() {
+            return 0;
+        }
+        let width = self.backend.lane_width().max(1);
+        let slots = self.backend.slots(leaders.len().div_ceil(width)).max(1);
+        let next = AtomicUsize::new(0);
+        let claim = &|worker: &Worker| loop {
+            let start = next.fetch_add(width, Ordering::Relaxed);
+            if start >= leaders.len() {
+                break;
+            }
+            let end = leaders.len().min(start + width);
+            self.evaluate_chunk(ctx, &leaders[start..end], worker);
+        };
+        std::thread::scope(|scope| {
+            for slot in 1..slots {
+                scope.spawn(move || claim(&Worker::new(slot)));
+            }
+            claim(caller);
+        });
+        slots
+    }
+
+    /// Step 3 of [`GestRun::evaluate`], on the calling thread after the
+    /// join: every follower probes once, and those whose leader left
+    /// nothing in the cache are measured here, a chunk at a time.
+    fn resolve_followers(
+        &self,
+        ctx: &EvalContext<'_>,
+        cache: &EvalCache,
+        followers: &[(usize, EvalKey)],
+        caller: &Worker,
+    ) {
+        let started = Instant::now();
+        let unresolved: Vec<Lane> = followers
+            .iter()
+            .filter(|(index, key)| !self.settle_hit(ctx, cache, *index, key, started, caller))
+            .map(|&(index, key)| (index, Some(key)))
+            .collect();
+        let width = self.backend.lane_width().max(1);
+        for chunk in unresolved.chunks(width) {
+            self.evaluate_chunk(ctx, chunk, caller);
+        }
+    }
+
+    /// Probes the cache for candidate `index` and, on a hit, scores and
+    /// settles it; returns whether it did. A miss is left for the caller
+    /// to measure, and so is a hit whose fitness function panicked, so
+    /// that the fault policy handles it like any failed measurement.
+    fn settle_hit(
+        &self,
+        ctx: &EvalContext<'_>,
+        cache: &EvalCache,
+        index: usize,
+        key: &EvalKey,
+        started: Instant,
+        worker: &Worker,
+    ) -> bool {
+        let Some(measurements) = self.cached_eval(cache, key) else {
+            return false;
+        };
+        let candidate = &ctx.candidates[index];
+        let span = self.candidate_span(ctx, index, worker);
+        match catch_measure(candidate.id, || Ok(self.score(candidate, &measurements))) {
+            Ok(fitness) => {
+                self.settle(
+                    ctx,
+                    index,
+                    span,
+                    started,
+                    worker,
+                    Ok((fitness, measurements)),
+                );
+                true
+            }
+            Err(_) => false,
+        }
+    }
+
+    /// Opens candidate `index`'s `eval.candidate` span, parented to the
+    /// surrounding `evaluate` span (the thread-local stack cannot see
+    /// across threads).
+    fn candidate_span(&self, ctx: &EvalContext<'_>, index: usize, worker: &Worker) -> SpanGuard {
+        self.telemetry.span_under(
+            ctx.span,
+            "eval.candidate",
+            &[
+                ("candidate", ctx.candidates[index].id.into()),
+                ("generation", u64::from(ctx.generation).into()),
+                ("worker", worker.index.into()),
+            ],
+        )
+    }
+
+    /// Records candidate `index`'s outcome: closing metrics, its span's
+    /// end, and its write-once result slot.
+    fn settle(
+        &self,
+        ctx: &EvalContext<'_>,
+        index: usize,
+        span: SpanGuard,
+        started: Instant,
+        worker: &Worker,
+        outcome: Result<Score, GestError>,
+    ) {
+        self.finish_candidate_metrics(started, &worker.counter, outcome.is_err());
+        drop(span);
+        if ctx.results[index].set(outcome).is_err() {
+            unreachable!("every candidate is settled exactly once");
+        }
+    }
+
+    /// Measures one chunk of leaders (or unresolved followers) under the
+    /// configured [`crate::FaultPolicy`], inserting each success into the
+    /// cache under its precomputed key. The chunk goes to the backend as
+    /// one [`GestRun::measure_chunk`] call, and every lane gets one
+    /// `eval.candidate` span covering all its attempts. Lanes that fail —
+    /// an error, a panic, a non-finite value, a tripped watchdog or a
+    /// blown deadline — are retried together as one smaller batch after
+    /// the policy's backoff, each attempt counting against every failed
+    /// lane's retry budget. A lane out of retries is quarantined or fails
+    /// the run on its own. Nothing here hashes or probes the cache.
+    fn evaluate_chunk(&self, ctx: &EvalContext<'_>, lanes: &[Lane], worker: &Worker) {
         let policy = self.config.fault_policy;
         let started = Instant::now();
-        let settle = |index: usize, span: SpanGuard, outcome: Result<Score, GestError>| {
-            self.finish_candidate_metrics(started, &worker.counter, outcome.is_err());
-            drop(span);
-            if results[index].set(outcome).is_err() {
-                unreachable!("the cursor hands each chunk to exactly one worker");
-            }
-        };
-        let mut pending: Vec<(usize, SpanGuard, Option<EvalKey>)> = chunk
-            .map(|index| {
-                let span = self.telemetry.span_under(
-                    parent_span,
-                    "eval.candidate",
-                    &[
-                        ("candidate", candidates[index].id.into()),
-                        ("generation", u64::from(generation).into()),
-                        ("worker", worker.index.into()),
-                    ],
-                );
-                let key = self
-                    .eval_cache
-                    .as_ref()
-                    .map(|_| self.eval_key(genes_hash(&candidates[index].genes)));
-                (index, span, key)
-            })
+        let mut pending: Vec<(usize, SpanGuard, Option<EvalKey>)> = lanes
+            .iter()
+            .map(|&(index, key)| (index, self.candidate_span(ctx, index, worker), key))
             .collect();
         let mut attempt: u32 = 0;
-        while !pending.is_empty() {
+        loop {
             attempt += 1;
+            let requests: Vec<EvalRequest<'_>> = pending
+                .iter()
+                .map(|&(index, _, _)| EvalRequest {
+                    generation: ctx.generation,
+                    candidate_id: ctx.candidates[index].id,
+                    genes: &ctx.candidates[index].genes,
+                })
+                .collect();
+            let measured = self.measure_chunk(worker.index, &requests);
             let mut failed: Vec<(usize, SpanGuard, Option<EvalKey>, GestError)> = Vec::new();
-            let mut misses: Vec<(usize, SpanGuard, Option<EvalKey>)> = Vec::new();
-            for (index, span, key) in pending {
-                let candidate = &candidates[index];
-                match catch_measure(candidate.id, || {
-                    Ok(self.cached_eval(candidate, key.as_ref()))
-                }) {
-                    Ok(Some(hit)) => settle(index, span, Ok(hit)),
-                    Ok(None) => misses.push((index, span, key)),
+            for ((index, span, key), lane) in pending.into_iter().zip(measured) {
+                let candidate = &ctx.candidates[index];
+                let completed = lane.and_then(|(measurements, detail)| {
+                    catch_measure(candidate.id, || {
+                        self.complete_measured(candidate, key, measurements, detail)
+                    })
+                });
+                match completed {
+                    Ok(score) => self.settle(ctx, index, span, started, worker, Ok(score)),
                     Err(error) => failed.push((index, span, key, error)),
                 }
             }
-            if !misses.is_empty() {
-                let requests: Vec<EvalRequest<'_>> = misses
-                    .iter()
-                    .map(|&(index, _, _)| EvalRequest {
-                        generation,
-                        candidate_id: candidates[index].id,
-                        genes: &candidates[index].genes,
-                    })
-                    .collect();
-                let lanes = self.measure_chunk(worker.index, &requests);
-                for ((index, span, key), lane) in misses.into_iter().zip(lanes) {
-                    let candidate = &candidates[index];
-                    let completed = lane.and_then(|(measurements, detail)| {
-                        catch_measure(candidate.id, || {
-                            self.complete_measured(candidate, key, measurements, detail)
-                        })
-                    });
-                    match completed {
-                        Ok(score) => settle(index, span, Ok(score)),
-                        Err(error) => failed.push((index, span, key, error)),
-                    }
-                }
-            }
             if failed.is_empty() {
-                break;
+                return;
             }
             if attempt <= policy.max_retries {
                 self.telemetry
@@ -1129,8 +1233,8 @@ impl GestRun {
                     self.telemetry.point(
                         "quarantine",
                         &[
-                            ("candidate", candidates[index].id.into()),
-                            ("generation", u64::from(generation).into()),
+                            ("candidate", ctx.candidates[index].id.into()),
+                            ("generation", u64::from(ctx.generation).into()),
                             ("attempts", u64::from(attempt).into()),
                             ("error", error.to_string().into()),
                         ],
@@ -1140,12 +1244,11 @@ impl GestRun {
                 } else {
                     Err(error)
                 };
-                settle(index, span, outcome);
+                self.settle(ctx, index, span, started, worker, outcome);
             }
-            break;
+            return;
         }
     }
-
     /// Per-candidate closing metrics: evaluation latency, worker
     /// utilization, and failures.
     fn finish_candidate_metrics(&self, started: Instant, worker_counter: &str, failed: bool) {
@@ -1214,27 +1317,29 @@ impl GestRun {
         }
     }
 
-    /// Cache-probe half of an evaluation: on a hit, replays the cached
-    /// simulator detail into telemetry and recomputes fitness (it can
-    /// depend on gene structure and the pool, which the key does not
-    /// cover).
-    fn cached_eval(&self, candidate: &Candidate<Gene>, key: Option<&EvalKey>) -> Option<Score> {
-        let (cache, key) = match (&self.eval_cache, key) {
-            (Some(cache), Some(key)) => (cache, key),
-            _ => return None,
-        };
-        let cached = cache.get(key)?;
-        if self.telemetry.is_enabled() {
-            if let Some(kv) = &cached.detail_kv {
-                record_sim_stats(&self.telemetry, kv);
-            }
+    /// Cache-probe half of an evaluation: the cached measurements on a
+    /// hit. A traced run also replays the cached simulator detail into
+    /// telemetry, and only then is the whole entry copied out.
+    fn cached_eval(&self, cache: &EvalCache, key: &EvalKey) -> Option<Vec<f64>> {
+        if !self.telemetry.is_enabled() {
+            return cache.measurements(key);
         }
-        let fitness = self.fitness.fitness(&FitnessContext {
-            measurements: &cached.measurements,
+        let cached = cache.get(key)?;
+        if let Some(kv) = &cached.detail_kv {
+            record_sim_stats(&self.telemetry, kv);
+        }
+        Some(cached.measurements)
+    }
+
+    /// A candidate's fitness. Recomputed on a cache hit too: it can
+    /// depend on gene structure and the pool, which the key does not
+    /// cover.
+    fn score(&self, candidate: &Candidate<Gene>, measurements: &[f64]) -> f64 {
+        self.fitness.fitness(&FitnessContext {
+            measurements,
             genes: &candidate.genes,
             pool: &self.config.pool,
-        });
-        Some((fitness, cached.measurements))
+        })
     }
 
     /// Completion half of an evaluation: validates, exports telemetry
@@ -1271,17 +1376,16 @@ impl GestRun {
                 },
             );
         }
-        let fitness = self.fitness.fitness(&FitnessContext {
-            measurements: &measurements,
-            genes: &candidate.genes,
-            pool: &self.config.pool,
-        });
-        Ok((fitness, measurements))
+        Ok((self.score(candidate, &measurements), measurements))
     }
 }
 
+/// A candidate to measure: its index and, when the cache is on, its
+/// precomputed key.
+type Lane = (usize, Option<EvalKey>);
+
 /// One generation's evaluation inputs and result slots, shared read-only
-/// by every worker of [`GestRun::evaluate`].
+/// by every slot of [`GestRun::evaluate`].
 #[derive(Clone, Copy)]
 struct EvalContext<'a> {
     generation: u32,
@@ -1291,11 +1395,20 @@ struct EvalContext<'a> {
     span: Option<u64>,
 }
 
-/// One evaluation thread of a generation's fan-out, with its utilization
-/// counter name formatted once per generation rather than per candidate.
+/// One evaluation slot of a generation, with its utilization counter
+/// name formatted once per generation rather than per candidate.
 struct Worker {
     index: usize,
     counter: String,
+}
+
+impl Worker {
+    fn new(index: usize) -> Worker {
+        Worker {
+            index,
+            counter: format!("eval.worker.{index}.candidates"),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -17,8 +17,7 @@ use crate::proto::{
     PROTOCOL_VERSION,
 };
 use gest_core::{
-    catch_measure, config_fingerprint, genes_hash, CachedEval, EvalCache, EvalKey, GestConfig,
-    Measurement, Registry,
+    catch_measure, genes_hash, CachedEval, EvalCache, EvalKey, GestConfig, Measurement, Registry,
 };
 use gest_isa::InstructionPool;
 use std::io::{self, Read};
@@ -206,7 +205,7 @@ impl Worker {
                 return Err(DistError::Protocol(message));
             }
         };
-        let fingerprint = config_fingerprint(&config.to_xml().to_string());
+        let fingerprint = config.fingerprint();
         let measurement = match Registry::default().build_measurement(
             &config.measurement_name,
             config.machine.clone(),
@@ -439,9 +438,9 @@ fn measure_one(
         genes_hash: genes_hash(genes),
     });
     if let (Some(cache), Some(key)) = (cache, key.as_ref()) {
-        if let Some(hit) = cache.get(key) {
+        if let Some(measurements) = cache.measurements(key) {
             return Measured {
-                outcome: Ok(hit.measurements),
+                outcome: Ok(measurements),
                 measure_us: elapsed_us(started),
                 cache_hit: true,
             };

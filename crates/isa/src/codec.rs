@@ -27,7 +27,7 @@
 
 use crate::def::Gene;
 use crate::instruction::{Instruction, Operand};
-use crate::opcode::Opcode;
+use crate::opcode::{Opcode, OperandSlot};
 use crate::program::{MemInit, Program};
 use crate::reg::{Reg, VReg};
 use crate::CodecError;
@@ -35,6 +35,10 @@ use crate::CodecError;
 /// Maximum length accepted for any decoded string/sequence (1 MiB). Guards
 /// against corrupted or hostile population files allocating unboundedly.
 pub const MAX_LEN: u64 = 1 << 20;
+
+/// Longest encoded instruction: the opcode index and four operands of at
+/// most a tag and a `u64` each.
+const MAX_INSTRUCTION_BYTES: usize = 2 + 4 * 9;
 
 /// Where an [`Encoder`] puts its bytes: a growing buffer by default, or
 /// anything that consumes bytes in order, such as a running hash that
@@ -140,31 +144,34 @@ impl<S: Sink> Encoder<S> {
         self.bytes(v.as_bytes())
     }
 
-    /// Writes an instruction.
+    /// Writes an instruction: its opcode index, then for each operand of
+    /// the opcode's signature a kind tag and its payload (the operand
+    /// count is implied by the opcode; the tags are defence in depth). One
+    /// pass over the signature fills a stack buffer, which reaches the
+    /// sink in one piece.
     pub fn instruction(&mut self, instr: &Instruction) -> &mut Self {
-        let opcode_index = Opcode::ALL
-            .iter()
-            .position(|&op| op == instr.opcode())
-            .expect("every opcode is in ALL") as u16;
-        self.u16(opcode_index);
-        // Operand count is implied by the opcode signature; encode only the
-        // payloads, tagged for defence in depth.
-        for operand in instr.operands() {
-            match operand {
-                Operand::Reg(r) => {
-                    self.u8(0).u8(r.index());
+        let mut buf = [0u8; MAX_INSTRUCTION_BYTES];
+        buf[..2].copy_from_slice(&(instr.opcode as u16).to_le_bytes());
+        let mut len = 2;
+        let mut imms = instr.imms.iter();
+        for (slot, &reg) in instr.opcode.slots().iter().zip(&instr.regs) {
+            let (tag, payload) = match slot {
+                OperandSlot::IntDst | OperandSlot::IntSrc => (0, reg),
+                OperandSlot::VecDst | OperandSlot::VecSrc => (1, reg),
+                OperandSlot::BranchTarget => (3, instr.target),
+                OperandSlot::Imm => {
+                    let imm = imms.next().expect("at most two immediates per opcode");
+                    buf[len] = 2;
+                    buf[len + 1..len + 9].copy_from_slice(&(*imm as u64).to_le_bytes());
+                    len += 9;
+                    continue;
                 }
-                Operand::VReg(v) => {
-                    self.u8(1).u8(v.index());
-                }
-                Operand::Imm(i) => {
-                    self.u8(2).u64(i as u64);
-                }
-                Operand::Target(t) => {
-                    self.u8(3).u8(t);
-                }
-            }
+            };
+            buf[len] = tag;
+            buf[len + 1] = payload;
+            len += 2;
         }
+        self.sink.put(&buf[..len]);
         self
     }
 
@@ -528,6 +535,66 @@ mod tests {
         let bytes = enc.into_bytes();
         let decoded = Decoder::new(&bytes).instructions().unwrap();
         assert_eq!(decoded, block);
+    }
+
+    #[test]
+    fn opcode_discriminants_index_all() {
+        // The encoder writes `opcode as u16` and the decoder indexes
+        // `Opcode::ALL` with it.
+        for (index, &opcode) in Opcode::ALL.iter().enumerate() {
+            assert_eq!(opcode as usize, index, "{opcode:?}");
+        }
+    }
+
+    /// The instruction encoding spelled out operand by operand, as the
+    /// decoder reads it.
+    fn oracle_encoding(instr: &Instruction) -> Vec<u8> {
+        let index = Opcode::ALL
+            .iter()
+            .position(|&op| op == instr.opcode())
+            .unwrap();
+        let mut enc = Encoder::new();
+        enc.u16(index as u16);
+        for operand in instr.operands() {
+            match operand {
+                Operand::Reg(r) => enc.u8(0).u8(r.index()),
+                Operand::VReg(v) => enc.u8(1).u8(v.index()),
+                Operand::Imm(i) => enc.u8(2).u64(i as u64),
+                Operand::Target(t) => enc.u8(3).u8(t),
+            };
+        }
+        enc.into_bytes()
+    }
+
+    #[test]
+    fn one_pass_encoding_matches_the_operand_oracle() {
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x000C_0DEC);
+        for &opcode in Opcode::ALL {
+            for _ in 0..64 {
+                let operands: Vec<Operand> = opcode
+                    .slots()
+                    .iter()
+                    .map(|slot| match slot {
+                        OperandSlot::IntDst | OperandSlot::IntSrc => {
+                            Operand::Reg(Reg::new(rng.random_range(0..16u8)).unwrap())
+                        }
+                        OperandSlot::VecDst | OperandSlot::VecSrc => {
+                            Operand::VReg(VReg::new(rng.random_range(0..16u8)).unwrap())
+                        }
+                        OperandSlot::Imm => Operand::Imm(rng.random()),
+                        OperandSlot::BranchTarget => Operand::Target(rng.random()),
+                    })
+                    .collect();
+                let instr = Instruction::new(opcode, operands).unwrap();
+                let mut enc = Encoder::new();
+                enc.instruction(&instr);
+                let bytes = enc.into_bytes();
+                assert_eq!(bytes, oracle_encoding(&instr), "{instr:?}");
+                assert_eq!(Decoder::new(&bytes).instruction().unwrap(), instr);
+            }
+        }
     }
 
     #[test]

@@ -16,6 +16,7 @@ use crate::IsaError;
 use rand::Rng;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// The candidate-value set for one operand position.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -496,6 +497,7 @@ impl PoolBuilder {
         Ok(InstructionPool {
             operands,
             defs: self.instructions,
+            xml: OnceLock::new(),
         })
     }
 }
@@ -503,13 +505,43 @@ impl PoolBuilder {
 /// The validated GA search space: every instruction (or atomic sequence)
 /// the optimization may emit, with the operand value sets it may draw
 /// from.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct InstructionPool {
     operands: BTreeMap<String, OperandDef>,
     defs: Vec<InstructionDef>,
+    /// [`InstructionPool::xml_text`], rendered on first use. A pool has no
+    /// `&mut` methods, so the rendering can never go stale.
+    xml: OnceLock<String>,
+}
+
+/// Pools compare by content; the memoized rendering follows from it.
+impl PartialEq for InstructionPool {
+    fn eq(&self, other: &InstructionPool) -> bool {
+        self.operands == other.operands && self.defs == other.defs
+    }
+}
+
+impl Eq for InstructionPool {}
+
+impl fmt::Debug for InstructionPool {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("InstructionPool")
+            .field("operands", &self.operands)
+            .field("defs", &self.defs)
+            .finish()
+    }
 }
 
 impl InstructionPool {
+    /// The pool's compact XML rendering, `pool_to_xml(self).to_string()`,
+    /// made on the first call and kept: a configuration fingerprint
+    /// hashes it once per pool instead of rebuilding the subtree for
+    /// every run.
+    pub fn xml_text(&self) -> &str {
+        self.xml
+            .get_or_init(|| crate::pool_to_xml(self).to_string())
+    }
+
     /// The instruction definitions in declaration order.
     pub fn defs(&self) -> &[InstructionDef] {
         &self.defs

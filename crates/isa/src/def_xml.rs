@@ -393,4 +393,14 @@ mod tests {
         let reparsed = pool_from_xml(Document::parse(&text).unwrap().root()).unwrap();
         assert_eq!(reparsed, pool);
     }
+
+    #[test]
+    fn memoized_text_is_the_compact_rendering() {
+        let pool = pool_from_xml(Document::parse(PAPER_EXAMPLE).unwrap().root()).unwrap();
+        let fresh = pool.clone();
+        assert_eq!(pool.xml_text(), pool_to_xml(&pool).to_string());
+        assert_eq!(pool.xml_text(), pool_to_xml(&pool).to_string(), "kept");
+        assert_eq!(pool, fresh, "the memo is not part of a pool's identity");
+        assert_eq!(pool.clone().xml_text(), fresh.xml_text());
+    }
 }

@@ -35,9 +35,7 @@
 
 use crate::registry::{RunEntry, RunState};
 use crate::{Shared, POLL_INTERVAL};
-use gest_core::{
-    config_fingerprint, EvalCache, GestConfig, GestError, GestRun, StepOutcome, CHECKPOINT_FILE,
-};
+use gest_core::{EvalCache, GestConfig, GestError, GestRun, StepOutcome, CHECKPOINT_FILE};
 use gest_telemetry::{JsonlSink, Sink, Telemetry};
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
@@ -490,7 +488,7 @@ fn activate(
 
     // The shared eval cache for this configuration fingerprint: warm if
     // any earlier activation of the same config populated it.
-    let fingerprint = config_fingerprint(&config.to_xml().to_string());
+    let fingerprint = config.fingerprint();
     let cache = Arc::clone(
         caches
             .entry(fingerprint)
