@@ -226,6 +226,12 @@ pub fn run_soak(options: &SoakOptions) -> Result<SoakReport, GestError> {
     }
     let addrs: Vec<String> = workers.iter().map(|w| w.addr().to_string()).collect();
 
+    let measurement = Registry::default().build_measurement(
+        &config.measurement_name,
+        config.machine.clone(),
+        config.run_config,
+    )?;
+    let local = LocalBackend::new(measurement, config.template.clone(), config.threads);
     let coordinator = Arc::new(Coordinator::connect(
         &addrs,
         config.to_xml().to_string(),
@@ -234,19 +240,9 @@ pub fn run_soak(options: &SoakOptions) -> Result<SoakReport, GestError> {
             heartbeat_timeout: Duration::from_secs(2),
             connect_timeout: Duration::from_millis(300),
             chaos: Some(Arc::new(ChaosTransport::new(&plan, telemetry.clone()))),
-            local_fallback_after: Some(1),
+            local_fallback: Some((1, Arc::new(local))),
         },
     )?);
-    let measurement = Registry::default().build_measurement(
-        &config.measurement_name,
-        config.machine.clone(),
-        config.run_config,
-    )?;
-    coordinator.set_fallback(Arc::new(LocalBackend::new(
-        measurement,
-        config.template.clone(),
-        config.threads,
-    )));
 
     // Saboteur: once the fleet has served a handful of requests — long
     // enough for the transport faults to see real result frames — kill

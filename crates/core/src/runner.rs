@@ -2043,8 +2043,9 @@ mod tests {
                 .collect()
         };
 
-        // A duplicate is a cache hit or a second measurement of the same
-        // content, depending on which slot gets there first.
+        // Candidates 2 and 3 are followers: each probes after the join and
+        // hits its leader's entry. A follower is measured again only when
+        // its leader did not land in the cache.
         let run = build_run(tiny_config("cortex-a7", "power"));
         let population = run.evaluate(0, candidates.clone(), None).unwrap();
         assert_assembled(&candidates, &population);

@@ -30,7 +30,7 @@ use gest_telemetry::Buckets;
 use gest_telemetry::Telemetry;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Tunables for a [`Coordinator`].
@@ -45,13 +45,13 @@ pub struct CoordinatorOptions {
     /// Fault-injection hook applied to every received payload after the
     /// handshake (see [`TransportChaos`]). `None` in production.
     pub chaos: Option<Arc<dyn TransportChaos>>,
-    /// Graceful degradation threshold: after this many *consecutive*
-    /// all-workers-unavailable checkout failures, the coordinator
-    /// permanently degrades to the fallback backend installed via
-    /// [`Coordinator::set_fallback`] (if any) instead of failing the
-    /// candidate. `None` (the default) never degrades — total fleet loss
-    /// surfaces to the runner's fault policy as before.
-    pub local_fallback_after: Option<u32>,
+    /// Graceful degradation: `Some((n, backend))` means that after `n`
+    /// *consecutive* all-workers-unavailable checkout failures the
+    /// coordinator permanently degrades to `backend` (usually a
+    /// `LocalBackend`) instead of failing the candidate. `None` (the
+    /// default) never degrades — total fleet loss surfaces to the
+    /// runner's fault policy as before.
+    pub local_fallback: Option<(u32, Arc<dyn EvalBackend>)>,
 }
 
 impl Default for CoordinatorOptions {
@@ -60,7 +60,7 @@ impl Default for CoordinatorOptions {
             heartbeat_timeout: Duration::from_secs(5),
             connect_timeout: Duration::from_secs(5),
             chaos: None,
-            local_fallback_after: None,
+            local_fallback: None,
         }
     }
 }
@@ -103,12 +103,8 @@ pub struct Coordinator {
     telemetry: Telemetry,
     /// Requests currently inside `measure`, for the queue-depth gauge.
     outstanding: AtomicUsize,
-    /// The backend measurements degrade to when the whole fleet is lost
-    /// (usually a `LocalBackend`); installed via
-    /// [`Coordinator::set_fallback`].
-    fallback: Mutex<Option<Arc<dyn EvalBackend>>>,
     /// Latched once the fleet is declared lost; from then on every
-    /// measurement goes to the fallback.
+    /// measurement goes to [`CoordinatorOptions::local_fallback`].
     degraded: AtomicBool,
     /// Consecutive all-workers-unavailable checkout failures; reset by
     /// any successful checkout.
@@ -153,7 +149,6 @@ impl Coordinator {
             available: Condvar::new(),
             telemetry,
             outstanding: AtomicUsize::new(0),
-            fallback: Mutex::new(None),
             degraded: AtomicBool::new(false),
             fleet_failures: AtomicU32::new(0),
         };
@@ -168,26 +163,10 @@ impl Coordinator {
         Ok(coordinator)
     }
 
-    /// Installs the backend measurements degrade to when the entire
-    /// fleet is lost for [`CoordinatorOptions::local_fallback_after`]
-    /// consecutive checkout attempts. Without a fallback (or with the
-    /// threshold unset) total fleet loss keeps surfacing as a
-    /// measurement error, as before.
-    pub fn set_fallback(&self, backend: Arc<dyn EvalBackend>) {
-        *self.fallback.lock().unwrap_or_else(PoisonError::into_inner) = Some(backend);
-    }
-
     /// Whether the coordinator has permanently degraded to its fallback
     /// backend after total fleet loss.
     pub fn is_degraded(&self) -> bool {
         self.degraded.load(Ordering::SeqCst)
-    }
-
-    fn fallback_backend(&self) -> Option<Arc<dyn EvalBackend>> {
-        self.fallback
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
     }
 
     /// Locks the pool, recovering from poison: a dispatch thread that
@@ -394,7 +373,7 @@ impl Coordinator {
                     candidate,
                     WorkerReply {
                         outcome,
-                        stats: None,
+                        measure_us: None,
                     },
                 ),
                 Frame::EvalResultV2 { .. } if conn.version < 2 => {
@@ -403,23 +382,17 @@ impl Coordinator {
                         conn.version
                     )))
                 }
+                // The cache fields are reserved: workers keep no cache.
                 Frame::EvalResultV2 {
                     candidate,
                     outcome,
                     measure_us,
-                    cache_hit,
-                    cache_hits,
-                    cache_misses,
+                    ..
                 } => (
                     candidate,
                     WorkerReply {
                         outcome,
-                        stats: Some(WorkerStats {
-                            measure_us,
-                            cache_hit,
-                            cache_hits,
-                            cache_misses,
-                        }),
+                        measure_us: Some(measure_us),
                     },
                 ),
                 Frame::Error { message } => return Err(DistError::Protocol(message)),
@@ -445,19 +418,11 @@ impl Coordinator {
     }
 }
 
-/// One worker reply: the measurement outcome, plus the observability
-/// extras a v2 session carries (`None` on a v1 session).
+/// One worker reply: the measurement outcome, plus the worker-side
+/// measure time a v2 session carries (`None` on a v1 session).
 struct WorkerReply {
     outcome: Result<Vec<f64>, String>,
-    stats: Option<WorkerStats>,
-}
-
-/// Worker-side observability facts from an `EvalResultV2` frame.
-struct WorkerStats {
-    measure_us: u64,
-    cache_hit: bool,
-    cache_hits: u64,
-    cache_misses: u64,
+    measure_us: Option<u64>,
 }
 
 impl EvalBackend for Coordinator {
@@ -466,12 +431,10 @@ impl EvalBackend for Coordinator {
     }
 
     fn slots(&self, pending: usize) -> usize {
-        if self.degraded.load(Ordering::SeqCst) {
-            if let Some(fallback) = self.fallback_backend() {
-                return fallback.slots(pending);
-            }
+        match &self.options.local_fallback {
+            Some((_, fallback)) if self.is_degraded() => fallback.slots(pending),
+            _ => self.addrs.len().min(pending.max(1)),
         }
-        self.addrs.len().min(pending.max(1))
     }
 
     fn measure(
@@ -479,8 +442,8 @@ impl EvalBackend for Coordinator {
         slot: usize,
         request: &EvalRequest<'_>,
     ) -> Result<(Vec<f64>, Option<RunResult>), GestError> {
-        if self.degraded.load(Ordering::SeqCst) {
-            if let Some(fallback) = self.fallback_backend() {
+        if let Some((_, fallback)) = &self.options.local_fallback {
+            if self.is_degraded() {
                 return fallback.measure(slot, request);
             }
         }
@@ -496,15 +459,14 @@ impl EvalBackend for Coordinator {
 impl Coordinator {
     /// Handles one all-workers-unavailable checkout failure: count it,
     /// and once the consecutive count reaches the configured threshold
-    /// (with a fallback installed) latch the degraded state. Returns the
-    /// fallback to delegate to, or `None` to propagate the error.
-    fn on_fleet_unavailable(&self) -> Option<Arc<dyn EvalBackend>> {
+    /// latch the degraded state. Returns the fallback to delegate to, or
+    /// `None` to propagate the error.
+    fn on_fleet_unavailable(&self) -> Option<&dyn EvalBackend> {
         let failures = self.fleet_failures.fetch_add(1, Ordering::SeqCst) + 1;
-        let threshold = self.options.local_fallback_after?;
-        if failures < threshold {
+        let (threshold, fallback) = self.options.local_fallback.as_ref()?;
+        if failures < *threshold {
             return None;
         }
-        let fallback = self.fallback_backend()?;
         if !self.degraded.swap(true, Ordering::SeqCst) {
             self.telemetry.add_counter("dist.local_fallback", 1);
             self.telemetry.point(
@@ -522,14 +484,13 @@ impl Coordinator {
                 fallback.name()
             );
         }
-        Some(fallback)
+        Some(fallback.as_ref())
     }
 
-    /// Folds one v2 reply's observability extras into the merged trace:
-    /// a worker-attributed point (the distributed analogue of the local
-    /// eval span), a fleet-wide measure-time histogram, and per-worker
-    /// cache gauges from the session running totals.
-    fn emit_worker_stats(&self, conn: &Conn, request: &EvalRequest<'_>, stats: &WorkerStats) {
+    /// Folds one v2 reply's worker-side measure time into the merged
+    /// trace: a worker-attributed point (the distributed analogue of the
+    /// local eval span) and a fleet-wide measure-time histogram.
+    fn emit_worker_measure(&self, conn: &Conn, request: &EvalRequest<'_>, measure_us: u64) {
         if !self.telemetry.is_enabled() {
             return;
         }
@@ -540,20 +501,14 @@ impl Coordinator {
                 ("host", conn.host.as_str().into()),
                 ("candidate", request.candidate_id.into()),
                 ("generation", u64::from(request.generation).into()),
-                ("measure_us", stats.measure_us.into()),
-                ("cache_hit", u64::from(stats.cache_hit).into()),
+                ("measure_us", measure_us.into()),
             ],
         );
         // Same bucket layout as the runner's local eval.latency_us, so
         // the two histograms compare directly in /metrics.
         let buckets = Buckets::exponential(100.0, 10.0, 7);
         self.telemetry
-            .record("dist.worker.measure_us", &buckets, stats.measure_us as f64);
-        let prefix = format!("dist.worker.{}", conn.index);
-        self.telemetry
-            .set_gauge(&format!("{prefix}.cache_hits"), stats.cache_hits as f64);
-        self.telemetry
-            .set_gauge(&format!("{prefix}.cache_misses"), stats.cache_misses as f64);
+            .record("dist.worker.measure_us", &buckets, measure_us as f64);
     }
 
     fn measure_inner(
@@ -586,8 +541,8 @@ impl Coordinator {
                     drop(span);
                     self.telemetry
                         .add_counter(&format!("dist.worker.{}.requests", conn.index), 1);
-                    if let Some(stats) = &reply.stats {
-                        self.emit_worker_stats(&conn, request, stats);
+                    if let Some(measure_us) = reply.measure_us {
+                        self.emit_worker_measure(&conn, request, measure_us);
                     }
                     self.checkin(conn);
                     return match reply.outcome {

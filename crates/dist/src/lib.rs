@@ -7,7 +7,7 @@
 //! * [`proto`] — the `GESTDST1` length-prefixed binary frame protocol
 //!   (hello/config handshake, eval request/result, heartbeat, shutdown);
 //! * [`Worker`] — a server that builds the run's measurement locally and
-//!   measures candidates on request, with its own eval cache;
+//!   measures candidates on request through a `LocalBackend`;
 //! * [`Coordinator`] — a [`gest_core::EvalBackend`] that work-steals
 //!   candidates across the worker fleet, retries transport failures on
 //!   surviving workers, and reconnects crashed ones.
@@ -111,8 +111,7 @@ mod tests {
         let (local, _) = local_backend.measure(0, &request).unwrap();
         assert_eq!(remote, local, "distributed must be bit-identical to local");
 
-        // Second measurement of identical content hits the worker cache
-        // and still agrees.
+        // A second measurement of identical content still agrees.
         let (again, _) = coordinator.measure(0, &request).unwrap();
         assert_eq!(again, local);
         assert!(handle.requests_served() >= 2);
@@ -196,19 +195,6 @@ mod tests {
     #[test]
     fn total_fleet_loss_degrades_to_the_fallback_backend() {
         let xml = test_config_xml();
-        let worker = Worker::bind("127.0.0.1:0").unwrap().spawn();
-        let coordinator = Coordinator::connect(
-            &[worker.addr().to_string()],
-            xml.clone(),
-            Telemetry::disabled(),
-            CoordinatorOptions {
-                connect_timeout: std::time::Duration::from_millis(300),
-                local_fallback_after: Some(1),
-                ..CoordinatorOptions::default()
-            },
-        )
-        .unwrap();
-
         let config = GestConfig::from_xml_str(&xml).unwrap();
         let measurement = gest_core::Registry::default()
             .build_measurement(
@@ -218,11 +204,22 @@ mod tests {
             )
             .unwrap();
         let local = Arc::new(gest_core::LocalBackend::new(
-            Arc::clone(&measurement),
+            measurement,
             config.template.clone(),
             1,
         ));
-        coordinator.set_fallback(local.clone());
+        let worker = Worker::bind("127.0.0.1:0").unwrap().spawn();
+        let coordinator = Coordinator::connect(
+            &[worker.addr().to_string()],
+            xml.clone(),
+            Telemetry::disabled(),
+            CoordinatorOptions {
+                connect_timeout: std::time::Duration::from_millis(300),
+                local_fallback: Some((1, local.clone())),
+                ..CoordinatorOptions::default()
+            },
+        )
+        .unwrap();
 
         let genes = some_genes(&xml);
         let request = EvalRequest {
@@ -315,9 +312,15 @@ mod tests {
             candidate_id: 8,
             genes: &genes,
         };
-        coordinator.measure(0, &request).unwrap();
-        // Identical content: the second measurement is a worker cache hit.
-        coordinator.measure(0, &request).unwrap();
+        // The same request twice on one session: the worker keeps no
+        // cache, so it measures both and both outcomes agree bit for bit.
+        let (first, _) = coordinator.measure(0, &request).unwrap();
+        let (second, _) = coordinator.measure(0, &request).unwrap();
+        assert_eq!(
+            first.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            second.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            "a repeated request must measure bit-identically"
+        );
         drop(coordinator);
         worker.kill();
 
@@ -330,20 +333,14 @@ mod tests {
             })
             .collect();
         assert_eq!(measures.len(), 2, "one worker.measure point per result");
-        let hit_of = |fields: &[(String, gest_telemetry::FieldValue)]| {
-            fields.iter().any(|(name, value)| {
-                name == "cache_hit" && matches!(value, gest_telemetry::FieldValue::U64(1))
-            })
-        };
-        assert!(!hit_of(measures[0]), "first measurement is a miss");
-        assert!(
-            hit_of(measures[1]),
-            "second measurement hits the worker cache"
-        );
-        assert!(
-            measures[0].iter().any(|(name, _)| name == "host"),
-            "worker.measure must attribute a host"
-        );
+        for fields in &measures {
+            let names: Vec<&str> = fields.iter().map(|(name, _)| name.as_str()).collect();
+            assert!(
+                names.contains(&"host") && names.contains(&"measure_us"),
+                "worker.measure must attribute a host and a measure time: {names:?}"
+            );
+            assert!(!names.contains(&"cache_hit"), "workers keep no cache");
+        }
         assert!(
             telemetry
                 .gauge_value("dist.worker.0.last_seen_us")
@@ -351,8 +348,8 @@ mod tests {
             "result frames must refresh the last-seen gauge"
         );
         assert!(
-            telemetry.gauge_value("dist.worker.0.cache_hits").is_some(),
-            "v2 sessions must publish per-worker cache totals"
+            telemetry.gauge_value("dist.worker.0.cache_hits").is_none(),
+            "no per-worker cache gauges"
         );
     }
 

@@ -3,10 +3,9 @@
 //! Every frame on the wire is `[u32 LE payload length][payload]`, where
 //! the payload starts with a one-byte frame kind followed by
 //! kind-specific fields in [`gest_isa::codec`] encoding. Genes travel in
-//! their canonical codec form ([`Encoder::genes`]), the same bytes
-//! [`gest_core::genes_hash`] hashes — so a worker's cache key for a
-//! candidate is derived from exactly the content the coordinator
-//! addressed it by.
+//! their canonical codec form ([`Encoder::genes`]), the same bytes the
+//! runner's eval-cache key hashes — so a worker measures exactly the
+//! content the coordinator's cache addressed the candidate by.
 //!
 //! A session is: `Hello` exchange (magic + protocol version, catching
 //! version skew before anything else is parsed), `Config` →
@@ -19,9 +18,9 @@
 //! Versions are *negotiated*, not matched: each side sends the highest
 //! version it speaks, the worker echoes `min(coordinator, worker)`, and
 //! both sides then speak that session version. Version 2 adds
-//! [`Frame::EvalResultV2`], which carries worker-side measure timing and
-//! local-cache statistics back with each result so the coordinator can
-//! merge one fleet-wide trace; a v1 peer on either end keeps the session
+//! [`Frame::EvalResultV2`], which carries worker-side measure timing
+//! back with each result so the coordinator can merge one fleet-wide
+//! trace; a v1 peer on either end keeps the session
 //! at v1 with the original result frame. The extra v2 fields are
 //! observability-only — the measurement vector is identical either way,
 //! so artifact bytes never depend on the negotiated version.
@@ -168,13 +167,14 @@ pub enum Frame {
         /// The measurement vector, or the failure message.
         outcome: Result<Vec<f64>, String>,
         /// Wall-clock microseconds the worker spent producing the
-        /// outcome (cache lookup through measurement return).
+        /// outcome.
         measure_us: u64,
-        /// Whether the outcome came from the worker-local eval cache.
+        /// Reserved for wire compatibility: workers keep no cache, write
+        /// `false` and receivers ignore it.
         cache_hit: bool,
-        /// Worker-local cache hits across this session so far.
+        /// Reserved for wire compatibility: written `0`, ignored.
         cache_hits: u64,
-        /// Worker-local cache misses across this session so far.
+        /// Reserved for wire compatibility: written `0`, ignored.
         cache_misses: u64,
     },
     /// Worker → coordinator liveness signal while a measurement runs.
@@ -516,8 +516,8 @@ mod tests {
 
     #[test]
     fn eval_request_genes_encode_canonically() {
-        // The wire bytes for genes must be the exact bytes genes_hash
-        // hashes, so worker-side cache keys match content addressing.
+        // The wire bytes for genes must be the exact bytes the eval-cache
+        // key hashes, so a worker measures what the key addressed.
         let genes = vec![Gene {
             def_index: 5,
             instrs: gest_isa::asm::parse_block("ADD x1, x2, x3").unwrap().into(),

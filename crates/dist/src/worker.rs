@@ -5,9 +5,10 @@
 //! builds the measurement plug-in locally, and then measures whatever
 //! candidates the coordinator ships — each wrapped in
 //! [`gest_core::catch_measure`], so a panicking measurement becomes an
-//! `EvalResult` error frame instead of killing the worker. Content-pure
-//! measurements get a worker-local [`EvalCache`], keyed by the same
-//! content addressing the coordinator uses.
+//! `EvalResult` error frame instead of killing the worker. The worker
+//! keeps no search state and no cache: it measures through the same
+//! [`LocalBackend`] an in-process run uses, and every lookup, retry and
+//! fitness decision stays with the coordinator's run.
 //!
 //! Sessions are served one at a time: a worker models one board, and a
 //! board can only measure one coordinator's programs meaningfully.
@@ -16,10 +17,7 @@ use crate::proto::{
     negotiate_version, read_frame, write_frame, DistError, Frame, MIN_PROTOCOL_VERSION,
     PROTOCOL_VERSION,
 };
-use gest_core::{
-    catch_measure, genes_hash, CachedEval, EvalCache, EvalKey, GestConfig, Measurement, Registry,
-};
-use gest_isa::InstructionPool;
+use gest_core::{catch_measure, EvalBackend, EvalRequest, GestConfig, LocalBackend, Registry};
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -30,9 +28,6 @@ use std::time::Duration;
 
 /// How often a busy worker emits `Heartbeat` frames.
 pub const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(500);
-
-/// Default in-memory cache budget for a worker's local eval cache.
-const WORKER_CACHE_BYTES: usize = 64 << 20;
 
 /// Poll granularity for the accept loop and idle session reads; bounds
 /// how long a stop request can go unnoticed.
@@ -231,17 +226,11 @@ impl Worker {
             },
         )?;
 
-        let cache = measurement
-            .content_pure()
-            .then(|| EvalCache::new(WORKER_CACHE_BYTES, fingerprint));
+        let backend = LocalBackend::new(measurement, config.template, 1);
 
         // 3. Eval loop. While a measurement runs, a sibling thread emits
         //    heartbeats so the coordinator can tell "slow" from "dead".
-        //    Session-local cache totals ride on every v2 result frame so
-        //    the coordinator can attribute cache behaviour per worker.
         let writer = Arc::new(Mutex::new(stream.try_clone()?));
-        let mut cache_hits = 0u64;
-        let mut cache_misses = 0u64;
         loop {
             let frame = match self.read_polling(&mut stream)? {
                 Some(frame) => frame,
@@ -254,40 +243,38 @@ impl Worker {
                     genes,
                 } => {
                     self.requests.fetch_add(1, Ordering::SeqCst);
-                    let measured = {
-                        let _beat = HeartbeatGuard::start(Arc::clone(&writer));
-                        measure_one(
-                            &config,
-                            measurement.as_ref(),
-                            cache.as_ref(),
-                            fingerprint,
-                            generation,
-                            candidate,
-                            &genes,
-                        )
+                    let request = EvalRequest {
+                        generation,
+                        candidate_id: candidate,
+                        genes: &genes,
                     };
-                    if measured.cache_hit {
-                        cache_hits += 1;
-                    } else {
-                        cache_misses += 1;
-                    }
+                    // The `Err` travels the wire as a message and is
+                    // rehydrated into a `GestError::Measurement` by the
+                    // coordinator.
+                    let (outcome, measure_us) = {
+                        let _beat = HeartbeatGuard::start(Arc::clone(&writer));
+                        let started = std::time::Instant::now();
+                        let outcome = catch_measure(candidate, || backend.measure(0, &request))
+                            .map(|(measurements, _detail)| measurements)
+                            .map_err(|e| e.to_string());
+                        let elapsed = started.elapsed().as_micros();
+                        (outcome, u64::try_from(elapsed).unwrap_or(u64::MAX))
+                    };
                     // The measurement vector is identical either way: v2
                     // only adds observability fields, so artifact bytes
-                    // never depend on the negotiated version.
+                    // never depend on the negotiated version. The three
+                    // cache fields are reserved and always zero.
                     let reply = if session_version >= 2 {
                         Frame::EvalResultV2 {
                             candidate,
-                            outcome: measured.outcome,
-                            measure_us: measured.measure_us,
-                            cache_hit: measured.cache_hit,
-                            cache_hits,
-                            cache_misses,
+                            outcome,
+                            measure_us,
+                            cache_hit: false,
+                            cache_hits: 0,
+                            cache_misses: 0,
                         }
                     } else {
-                        Frame::EvalResult {
-                            candidate,
-                            outcome: measured.outcome,
-                        }
+                        Frame::EvalResult { candidate, outcome }
                     };
                     write_frame(&mut *writer.lock().unwrap(), &reply)?;
                 }
@@ -403,73 +390,6 @@ impl Drop for HeartbeatGuard {
         if let Some(join) = self.join.take() {
             let _ = join.join();
         }
-    }
-}
-
-/// One worker-side measurement plus the observability facts a v2 result
-/// frame carries back to the coordinator.
-struct Measured {
-    outcome: Result<Vec<f64>, String>,
-    /// Wall-clock time spent inside this call, cache lookups included.
-    measure_us: u64,
-    cache_hit: bool,
-}
-
-/// Measures one candidate locally: cache lookup (content-pure
-/// measurements only), materialize, measure with panic containment,
-/// insert. The returned `Err` is the failure *message* — it travels the
-/// wire and is rehydrated into a `GestError::Measurement` by the
-/// coordinator.
-fn measure_one(
-    config: &GestConfig,
-    measurement: &dyn Measurement,
-    cache: Option<&EvalCache>,
-    fingerprint: u64,
-    generation: u32,
-    candidate: u64,
-    genes: &[gest_isa::Gene],
-) -> Measured {
-    let started = std::time::Instant::now();
-    let elapsed_us = |started: std::time::Instant| {
-        u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX)
-    };
-    let key = cache.map(|_| EvalKey {
-        config_fp: fingerprint,
-        genes_hash: genes_hash(genes),
-    });
-    if let (Some(cache), Some(key)) = (cache, key.as_ref()) {
-        if let Some(measurements) = cache.measurements(key) {
-            return Measured {
-                outcome: Ok(measurements),
-                measure_us: elapsed_us(started),
-                cache_hit: true,
-            };
-        }
-    }
-    let body = InstructionPool::flatten(genes);
-    let program = config
-        .template
-        .materialize(format!("{generation}_{candidate}"), body);
-    let result = catch_measure(candidate, || measurement.measure_detailed(&program));
-    let outcome = match result {
-        Ok((measurements, detail)) => {
-            if let (Some(cache), Some(key)) = (cache, key) {
-                cache.insert(
-                    key,
-                    CachedEval {
-                        measurements: measurements.clone(),
-                        detail_kv: detail.as_ref().map(|r| r.metric_kv()),
-                    },
-                );
-            }
-            Ok(measurements)
-        }
-        Err(e) => Err(e.to_string()),
-    };
-    Measured {
-        outcome,
-        measure_us: elapsed_us(started),
-        cache_hit: false,
     }
 }
 

@@ -404,23 +404,29 @@ fn connect_workers(
     if workers.is_empty() {
         return Ok(None);
     }
+    let local_fallback = match local_fallback_after {
+        Some(after) => {
+            let config = GestConfig::from_xml_str(&config_xml)?;
+            let measurement = Registry::default().build_measurement(
+                &config.measurement_name,
+                config.machine.clone(),
+                config.run_config,
+            )?;
+            let local: Arc<dyn EvalBackend> = Arc::new(LocalBackend::new(
+                measurement,
+                config.template,
+                config.threads,
+            ));
+            Some((after, local))
+        }
+        None => None,
+    };
     let options = CoordinatorOptions {
-        local_fallback_after,
+        local_fallback,
         ..CoordinatorOptions::default()
     };
-    let coordinator = Coordinator::connect(workers, config_xml.clone(), telemetry, options)?;
+    let coordinator = Coordinator::connect(workers, config_xml, telemetry, options)?;
     if let Some(after) = local_fallback_after {
-        let config = GestConfig::from_xml_str(&config_xml)?;
-        let measurement = Registry::default().build_measurement(
-            &config.measurement_name,
-            config.machine.clone(),
-            config.run_config,
-        )?;
-        coordinator.set_fallback(Arc::new(LocalBackend::new(
-            measurement,
-            config.template.clone(),
-            config.threads,
-        )));
         eprintln!(
             "local fallback armed: after {after} consecutive total-fleet failures, \
              evaluation degrades to this host"

@@ -29,9 +29,10 @@
 //!
 //! Determinism: a run's search state never leaves its own `GestRun` (and
 //! its own directory while evicted), so interleaving cannot couple runs.
-//! The one shared structure, the eval-cache pool, is keyed by config
-//! fingerprint and content-addressed — a hit is bit-identical to a fresh
-//! evaluation, so sharing saves work without changing any run's result.
+//! The scheduler keeps each live run's eval cache across evictions, so a
+//! rehydrated run resumes warm; the cache is content-addressed, so a hit
+//! is bit-identical to a fresh evaluation. A run's cache is dropped once
+//! the run reaches a terminal state.
 
 use crate::registry::{RunEntry, RunState};
 use crate::{Shared, POLL_INTERVAL};
@@ -139,7 +140,10 @@ fn quota_expiry(entry: &RunEntry) -> Option<String> {
 /// after checkpointing every resident run.
 pub(crate) fn scheduler_loop(shared: &Arc<Shared>) {
     let mut resident: Vec<ResidentRun> = Vec::new();
-    let mut caches: HashMap<u64, Arc<EvalCache>> = HashMap::new();
+    // Each non-terminal run's eval cache, by run id. Every run has its
+    // own output directory, which its fingerprint covers, so no two runs
+    // could share a cache anyway.
+    let mut caches: HashMap<String, Arc<EvalCache>> = HashMap::new();
     // Which resident run holds the factory (fleet) backend, if any: a
     // worker serves one coordinator session at a time, so the fleet is a
     // lease, not a pool.
@@ -155,9 +159,17 @@ pub(crate) fn scheduler_loop(shared: &Arc<Shared>) {
             park_residents(shared, resident);
             return;
         }
+        {
+            let runs = shared.lock_runs();
+            caches.retain(|id, _| {
+                runs.iter()
+                    .any(|run| run.id == *id && !run.state.is_terminal())
+            });
+        }
         let telemetry = shared.telemetry();
         telemetry.set_gauge("serve.resident", resident.len() as f64);
         telemetry.set_gauge("serve.queue_depth", shared.queue_depth() as f64);
+        telemetry.set_gauge("serve.eval_caches", caches.len() as f64);
 
         // Finalize cancellations first: a cancelled run must stop
         // consuming slices immediately.
@@ -466,7 +478,7 @@ fn release_lease(fleet_lease: &mut Option<String>, id: &str) {
 fn activate(
     shared: &Shared,
     id: &str,
-    caches: &mut HashMap<u64, Arc<EvalCache>>,
+    caches: &mut HashMap<String, Arc<EvalCache>>,
     fleet_lease: &mut Option<String>,
 ) -> Result<ResidentRun, GestError> {
     let entry = shared
@@ -486,12 +498,11 @@ fn activate(
     });
     let telemetry = Telemetry::new(Arc::clone(&sink) as Arc<dyn Sink>);
 
-    // The shared eval cache for this configuration fingerprint: warm if
-    // any earlier activation of the same config populated it.
+    // The run's eval cache: warm if an earlier activation populated it.
     let fingerprint = config.fingerprint();
     let cache = Arc::clone(
         caches
-            .entry(fingerprint)
+            .entry(id.to_string())
             .or_insert_with(|| Arc::new(EvalCache::new(config.eval_cache_bytes, fingerprint))),
     );
 
@@ -620,6 +631,39 @@ mod tests {
         assert_eq!(entry.generation, 4);
         assert_eq!(entry.error, None);
         assert_eq!(telemetry.counter_value("serve.persist_failures"), 1);
+    }
+
+    #[test]
+    fn finished_runs_release_their_eval_caches() {
+        use crate::{RunQuota, ServeOptions, ServeServer};
+
+        let dir = std::env::temp_dir().join(format!("gest_serve_caches_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut server = ServeServer::start("127.0.0.1:0", ServeOptions::new(&dir)).unwrap();
+        for seed in [1, 2] {
+            let config = GestConfig::builder("cortex-a7")
+                .measurement("power")
+                .population_size(4)
+                .individual_size(6)
+                .generations(2)
+                .seed(seed)
+                .build()
+                .unwrap();
+            assert!(server.shared.submit(config, 1, RunQuota::default()).is_ok());
+        }
+        let telemetry = server.shared.telemetry().clone();
+        let started = Instant::now();
+        while !(server.idle() && telemetry.gauge_value("serve.eval_caches") == Some(0.0)) {
+            assert!(
+                started.elapsed() < Duration::from_secs(60),
+                "caches held after every run finished: {:?}",
+                telemetry.gauge_value("serve.eval_caches")
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert_eq!(telemetry.counter_value("serve.activations"), 2);
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
