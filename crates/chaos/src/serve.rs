@@ -327,7 +327,6 @@ pub fn run_serve_soak(options: &ServeSoakOptions) -> Result<ServeSoakReport, Ges
     // under fault pressure too.
     serve_options.max_active = (runs - 1).max(1);
     serve_options.backend_factory = Some(factory);
-    serve_options.fleet = Some("chaos".into());
     serve_options.write_fs = Arc::clone(&chaos_fs) as Arc<dyn gest_core::WriteFs>;
     serve_options.telemetry = telemetry.clone();
     let mut server = ServeServer::start("127.0.0.1:0", serve_options)?;

@@ -568,6 +568,13 @@ impl GestRun {
         self.eval_cache.as_ref().map(|cache| cache.stats())
     }
 
+    /// The run's evaluation cache, or `None` when it is disabled — the
+    /// handle a step-driver keeps to pass back through
+    /// [`GestRunBuilder::eval_cache_handle`] when it rebuilds the run.
+    pub fn eval_cache(&self) -> Option<&Arc<EvalCache>> {
+        self.eval_cache.as_ref()
+    }
+
     /// The convergence history so far.
     pub fn history(&self) -> &History {
         &self.history

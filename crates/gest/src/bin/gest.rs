@@ -535,7 +535,6 @@ fn cmd_serve(args: &[String]) -> Result<(), GestError> {
         options.restart_budget = budget;
     }
     if !workers.is_empty() {
-        options.fleet = Some(workers.join(","));
         let fleet = workers.clone();
         options.backend_factory = Some(Arc::new(move |config_xml: &str| {
             let coordinator =

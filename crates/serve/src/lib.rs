@@ -83,8 +83,6 @@ pub struct ServeOptions {
     /// the rest evaluate locally. Backend choice never changes
     /// artifacts, so the mix is invisible in the results.
     pub backend_factory: Option<BackendFactory>,
-    /// Human-readable description of the factory fleet, for logs.
-    pub fleet: Option<String>,
     /// Admission cap on non-terminal runs: once this many runs are
     /// pending or running, `POST /runs` answers `503` with `Retry-After`
     /// until one finishes. `None` = unbounded.
@@ -114,7 +112,6 @@ impl std::fmt::Debug for ServeOptions {
             .field("state_dir", &self.state_dir)
             .field("max_active", &self.max_active)
             .field("id_seed", &self.id_seed)
-            .field("fleet", &self.fleet)
             .field("max_pending", &self.max_pending)
             .field("min_free_bytes", &self.min_free_bytes)
             .field("restart_budget", &self.restart_budget)
@@ -138,7 +135,6 @@ impl ServeOptions {
             max_active: 4,
             id_seed: 0,
             backend_factory: None,
-            fleet: None,
             max_pending: None,
             min_free_bytes: Self::DEFAULT_MIN_FREE_BYTES,
             restart_budget: Self::DEFAULT_RESTART_BUDGET,

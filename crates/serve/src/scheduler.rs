@@ -27,11 +27,17 @@
 //!   slice boundaries: the run is checkpointed and parked in the
 //!   terminal [`RunState::Expired`] state, resumable by hand later.
 //!
+//! The fleet lease is a flag on the resident run that holds it, so every
+//! way out of residency (cancel, expiry, step error, budget, quarantine,
+//! eviction) releases it.
+//!
 //! Determinism: a run's search state never leaves its own `GestRun` (and
 //! its own directory while evicted), so interleaving cannot couple runs.
-//! The scheduler keeps each live run's eval cache across evictions, so a
-//! rehydrated run resumes warm; the cache is content-addressed, so a hit
-//! is bit-identical to a fresh evaluation. A run's cache is dropped once
+//! A run's eval cache is the one its first activation in this process
+//! built (loaded from the `evalcache.bin` sidecar on a resume), handed
+//! back at every later activation, so a run resumes warm after a restart
+//! or an eviction; the cache is content-addressed, so a hit is
+//! bit-identical to a fresh evaluation. A run's cache is dropped once
 //! the run reaches a terminal state.
 
 use crate::registry::{RunEntry, RunState};
@@ -72,8 +78,28 @@ struct ResidentRun {
     /// The run's JSONL trace sink, flushed after every step so the SSE
     /// tail sees events promptly.
     sink: Arc<JsonlSink>,
-    /// Monotonic last-stepped stamp; the minimum is the eviction victim.
-    touched: u64,
+    /// Whether the run holds the factory (fleet) backend. A worker serves
+    /// one coordinator session at a time, so the fleet is a lease held by
+    /// at most one resident, and it leaves residency with that run.
+    leased: bool,
+}
+
+/// Takes `id` out of residency, keeping the others in order.
+fn take_resident(resident: &mut Vec<ResidentRun>, id: &str) -> Option<ResidentRun> {
+    let index = resident.iter().position(|r| r.id == id)?;
+    Some(resident.remove(index))
+}
+
+/// How a scheduling slice ended.
+enum SliceEnd {
+    /// The slice ran out, or a cancel or shutdown cut it short.
+    Paused,
+    /// The generation budget is spent.
+    Budget,
+    /// `step()` panicked; the rendered payload.
+    Panicked(String),
+    /// `step()` returned an error.
+    Failed(GestError),
 }
 
 /// Mutates one registry entry under the lock, then persists its manifest
@@ -139,19 +165,16 @@ fn quota_expiry(entry: &RunEntry) -> Option<String> {
 /// The scheduler thread body; returns when [`Shared::stop`] is set,
 /// after checkpointing every resident run.
 pub(crate) fn scheduler_loop(shared: &Arc<Shared>) {
+    // Least recently stepped first.
     let mut resident: Vec<ResidentRun> = Vec::new();
-    // Each non-terminal run's eval cache, by run id. Every run has its
-    // own output directory, which its fingerprint covers, so no two runs
-    // could share a cache anyway.
+    // Each non-terminal run's eval cache, by run id: the cache the run's
+    // first activation built, handed back at every later one. Every run
+    // has its own output directory, which its fingerprint covers, so no
+    // two runs could share a cache anyway.
     let mut caches: HashMap<String, Arc<EvalCache>> = HashMap::new();
-    // Which resident run holds the factory (fleet) backend, if any: a
-    // worker serves one coordinator session at a time, so the fleet is a
-    // lease, not a pool.
-    let mut fleet_lease: Option<String> = None;
     // Runs waiting out their restart backoff: not runnable until the
     // deadline passes.
     let mut backoff: HashMap<String, Instant> = HashMap::new();
-    let mut clock: u64 = 0;
     let mut cursor: usize = 0;
 
     loop {
@@ -180,18 +203,8 @@ pub(crate) fn scheduler_loop(shared: &Arc<Shared>) {
             .map(|run| run.id.clone())
             .collect();
         for id in cancelled {
-            if let Some(index) = resident.iter().position(|r| r.id == id) {
-                let mut managed = resident.swap_remove(index);
-                if managed.run.generation() >= 1 {
-                    // Best-effort: leave a resumable checkpoint behind so
-                    // the work done so far is not lost to the cancel.
-                    if let Err(error) = managed.run.checkpoint_now() {
-                        eprintln!("gest serve: cancel checkpoint for {id} failed: {error}");
-                    }
-                }
-                managed.run.finish();
-                managed.sink.flush();
-                release_lease(&mut fleet_lease, &id);
+            if let Some(managed) = take_resident(&mut resident, &id) {
+                wind_down(managed, Some("cancel"));
             }
             backoff.remove(&id);
             with_entry(shared, &id, true, |entry| entry.state = RunState::Cancelled);
@@ -233,16 +246,8 @@ pub(crate) fn scheduler_loop(shared: &Arc<Shared>) {
             continue;
         };
         if let Some(reason) = quota_expiry(&entry_snapshot) {
-            if let Some(index) = resident.iter().position(|r| r.id == id) {
-                let mut managed = resident.swap_remove(index);
-                if managed.run.generation() >= 1 {
-                    if let Err(error) = managed.run.checkpoint_now() {
-                        eprintln!("gest serve: expiry checkpoint for {id} failed: {error}");
-                    }
-                }
-                managed.run.finish();
-                managed.sink.flush();
-                release_lease(&mut fleet_lease, &id);
+            if let Some(managed) = take_resident(&mut resident, &id) {
+                wind_down(managed, Some("expiry"));
             }
             telemetry.add_counter("serve.expirations", 1);
             eprintln!("gest serve: run {id} expired: {reason}");
@@ -253,153 +258,49 @@ pub(crate) fn scheduler_loop(shared: &Arc<Shared>) {
             continue;
         }
 
-        // Make the run resident, evicting the least-recently-stepped one
-        // if the residency budget is full.
-        if !resident.iter().any(|r| r.id == id) {
-            while resident.len() >= shared.options.max_active {
-                let victim = resident
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, r)| r.touched)
-                    .map(|(index, _)| index)
-                    .expect("resident is non-empty");
-                evict(shared, resident.swap_remove(victim), &mut fleet_lease);
-            }
-            match activate(shared, &id, &mut caches, &mut fleet_lease) {
-                Ok(mut managed) => {
-                    telemetry.add_counter("serve.activations", 1);
-                    clock += 1;
-                    managed.touched = clock;
-                    with_entry(shared, &id, true, |entry| entry.state = RunState::Running);
-                    resident.push(managed);
+        // Move the run to the back, the most recently stepped end: take
+        // it out, or activate it, evicting from the front while the
+        // budget is full. The front run's last background artifact write,
+        // which the eviction checkpoint waits for, has had the longest to
+        // land; evicting from the back evicts less often, yet measured
+        // slower for that wait.
+        let managed = match take_resident(&mut resident, &id) {
+            Some(managed) => managed,
+            None => {
+                while resident.len() >= shared.options.max_active {
+                    evict(shared, resident.remove(0));
                 }
-                Err(error) => {
-                    eprintln!("gest serve: cannot activate run {id}: {error}");
-                    with_entry(shared, &id, true, |entry| {
-                        entry.state = RunState::Failed;
-                        entry.error = Some(error.to_string());
-                    });
-                    continue;
+                let fleet_free = !resident.iter().any(|r| r.leased);
+                match activate(shared, &id, &mut caches, fleet_free) {
+                    Ok(managed) => {
+                        telemetry.add_counter("serve.activations", 1);
+                        with_entry(shared, &id, true, |entry| entry.state = RunState::Running);
+                        managed
+                    }
+                    Err(error) => {
+                        eprintln!("gest serve: cannot activate run {id}: {error}");
+                        with_entry(shared, &id, true, |entry| {
+                            entry.state = RunState::Failed;
+                            entry.error = Some(error.to_string());
+                        });
+                        continue;
+                    }
                 }
             }
-        }
-        let slot = resident
-            .iter()
-            .position(|r| r.id == id)
-            .expect("just activated");
-        clock += 1;
-        resident[slot].touched = clock;
+        };
+        resident.push(managed);
+        let managed = resident.last_mut().expect("just pushed");
 
-        // The slice: `priority` generations — trimmed so a generation
-        // quota is hit exactly at a slice boundary — ending early on
-        // budget exhaustion, error, panic, cancel, or shutdown.
+        // The slice: `priority` generations, trimmed so a generation
+        // quota is hit exactly at a slice boundary.
         let mut steps = u64::from(priority.max(1));
         if let Some(cap) = entry_snapshot.quota.max_generations {
             steps = steps.min(u64::from(cap.saturating_sub(entry_snapshot.generation)));
         }
-        let mut finished = false;
-        for _ in 0..steps {
-            if shared.stop.load(Ordering::SeqCst) {
-                break;
-            }
-            let cancel = shared
-                .lock_runs()
-                .iter()
-                .find(|run| run.id == id)
-                .is_some_and(|run| run.cancel_requested);
-            if cancel {
-                break;
-            }
-            let managed = &mut resident[slot];
-            // Panic containment: `GestRun` is not `UnwindSafe` on paper
-            // (interior mutexes), but every lock in the stack recovers
-            // from poisoning and the run is discarded on panic, so the
-            // assertion is sound — nothing observes the broken state.
-            let step = std::panic::catch_unwind(AssertUnwindSafe(|| managed.run.step()));
-            match step {
-                Err(payload) => {
-                    let message = panic_message(payload.as_ref());
-                    eprintln!("gest serve: run {id} panicked in step(): {message}");
-                    telemetry.add_counter("serve.quarantines", 1);
-                    let managed = resident.swap_remove(slot);
-                    // No `finish()`: the run died mid-step and its state
-                    // is poisoned; even the teardown is contained.
-                    let _ = std::panic::catch_unwind(AssertUnwindSafe(move || {
-                        managed.sink.flush();
-                        drop(managed);
-                    }));
-                    release_lease(&mut fleet_lease, &id);
-                    with_entry(shared, &id, true, |entry| {
-                        entry.state = RunState::Quarantined;
-                        entry.error = Some(format!("step panicked: {message}"));
-                    });
-                    finished = true;
-                    break;
-                }
-                Ok(Ok(outcome)) => {
-                    managed.sink.flush();
-                    let generation = managed.run.generation();
-                    let best = managed.run.best().map(|best| best.fitness);
-                    with_entry(shared, &id, false, |entry| {
-                        entry.generation = generation;
-                        entry.best_fitness = best;
-                        entry.converged = outcome == StepOutcome::Converged;
-                    });
-                    if outcome.is_terminal() {
-                        finished = true;
-                        break;
-                    }
-                }
-                Ok(Err(error)) => {
-                    let mut managed = resident.swap_remove(slot);
-                    managed.run.finish();
-                    managed.sink.flush();
-                    release_lease(&mut fleet_lease, &id);
-                    let budget = shared.options.restart_budget;
-                    let restarts = entry_snapshot.restarts;
-                    if error.is_transient() && restarts < budget {
-                        // Transient fault: drop the live state and retry
-                        // from the last checkpoint (bit-exact resume)
-                        // after a deterministic backoff.
-                        let attempt = restarts + 1;
-                        let delay = restart_backoff(attempt);
-                        eprintln!(
-                            "gest serve: run {id} hit a transient fault ({error}); \
-                             restart {attempt}/{budget} from its last checkpoint \
-                             in {delay:?}"
-                        );
-                        telemetry.add_counter("serve.restarts", 1);
-                        backoff.insert(id.clone(), Instant::now() + delay);
-                        with_entry(shared, &id, true, |entry| {
-                            entry.restarts = attempt;
-                            entry.state = RunState::Pending;
-                            entry.error = Some(format!(
-                                "transient fault (restart {attempt}/{budget} scheduled): {error}"
-                            ));
-                        });
-                    } else {
-                        let why = if error.is_transient() {
-                            format!("restart budget ({budget}) exhausted: {error}")
-                        } else {
-                            error.to_string()
-                        };
-                        eprintln!("gest serve: run {id} failed: {why}");
-                        with_entry(shared, &id, true, |entry| {
-                            entry.state = RunState::Failed;
-                            entry.error = Some(why.clone());
-                        });
-                    }
-                    finished = true;
-                    break;
-                }
-            }
-        }
-        if finished {
-            if let Some(index) = resident.iter().position(|r| r.id == id) {
-                let mut managed = resident.swap_remove(index);
-                managed.run.finish();
-                managed.sink.flush();
-                release_lease(&mut fleet_lease, &id);
+        match run_slice(shared, managed, steps) {
+            SliceEnd::Paused => {}
+            SliceEnd::Budget => {
+                wind_down(take_resident(&mut resident, &id).expect("resident"), None);
                 with_entry(shared, &id, true, |entry| {
                     entry.state = RunState::Done;
                     // A completed run has no live failure: drop any
@@ -407,6 +308,118 @@ pub(crate) fn scheduler_loop(shared: &Arc<Shared>) {
                     entry.error = None;
                 });
             }
+            SliceEnd::Panicked(message) => {
+                eprintln!("gest serve: run {id} panicked in step(): {message}");
+                telemetry.add_counter("serve.quarantines", 1);
+                let managed = take_resident(&mut resident, &id).expect("resident");
+                // No `finish()`: the run died mid-step and its state is
+                // poisoned; even the teardown is contained.
+                let _ = std::panic::catch_unwind(AssertUnwindSafe(move || {
+                    managed.sink.flush();
+                    drop(managed);
+                }));
+                with_entry(shared, &id, true, |entry| {
+                    entry.state = RunState::Quarantined;
+                    entry.error = Some(format!("step panicked: {message}"));
+                });
+            }
+            SliceEnd::Failed(error) => {
+                wind_down(take_resident(&mut resident, &id).expect("resident"), None);
+                let budget = shared.options.restart_budget;
+                let restarts = entry_snapshot.restarts;
+                if error.is_transient() && restarts < budget {
+                    // Transient fault: drop the live state and retry from
+                    // the last checkpoint (bit-exact resume) after a
+                    // deterministic backoff.
+                    let attempt = restarts + 1;
+                    let delay = restart_backoff(attempt);
+                    eprintln!(
+                        "gest serve: run {id} hit a transient fault ({error}); \
+                         restart {attempt}/{budget} from its last checkpoint \
+                         in {delay:?}"
+                    );
+                    telemetry.add_counter("serve.restarts", 1);
+                    backoff.insert(id.clone(), Instant::now() + delay);
+                    with_entry(shared, &id, true, |entry| {
+                        entry.restarts = attempt;
+                        entry.state = RunState::Pending;
+                        entry.error = Some(format!(
+                            "transient fault (restart {attempt}/{budget} scheduled): {error}"
+                        ));
+                    });
+                } else {
+                    let why = if error.is_transient() {
+                        format!("restart budget ({budget}) exhausted: {error}")
+                    } else {
+                        error.to_string()
+                    };
+                    eprintln!("gest serve: run {id} failed: {why}");
+                    with_entry(shared, &id, true, |entry| {
+                        entry.state = RunState::Failed;
+                        entry.error = Some(why.clone());
+                    });
+                }
+            }
+        }
+    }
+}
+
+/// One scheduling slice: up to `steps` generations of `managed`, each
+/// contained against panics, ending early on budget exhaustion, error,
+/// panic, cancel, or shutdown.
+fn run_slice(shared: &Shared, managed: &mut ResidentRun, steps: u64) -> SliceEnd {
+    for _ in 0..steps {
+        let cancelled = shared
+            .lock_runs()
+            .iter()
+            .any(|run| run.id == managed.id && run.cancel_requested);
+        if shared.stop.load(Ordering::SeqCst) || cancelled {
+            break;
+        }
+        // Panic containment: `GestRun` is not `UnwindSafe` on paper
+        // (interior mutexes), but every lock in the stack recovers from
+        // poisoning and the run is discarded on panic, so the assertion
+        // is sound — nothing observes the broken state.
+        let outcome = match std::panic::catch_unwind(AssertUnwindSafe(|| managed.run.step())) {
+            Err(payload) => return SliceEnd::Panicked(panic_message(payload.as_ref())),
+            Ok(Err(error)) => return SliceEnd::Failed(error),
+            Ok(Ok(outcome)) => outcome,
+        };
+        managed.sink.flush();
+        let generation = managed.run.generation();
+        let best = managed.run.best().map(|best| best.fitness);
+        with_entry(shared, &managed.id, false, |entry| {
+            entry.generation = generation;
+            entry.best_fitness = best;
+            entry.converged = outcome == StepOutcome::Converged;
+        });
+        if outcome.is_terminal() {
+            return SliceEnd::Budget;
+        }
+    }
+    SliceEnd::Paused
+}
+
+/// Closes a run leaving residency other than by eviction or shutdown:
+/// a best-effort checkpoint when `checkpoint` names the exit, then
+/// `finish` and a last trace flush.
+fn wind_down(mut managed: ResidentRun, checkpoint: Option<&str>) {
+    if let Some(exit) = checkpoint {
+        checkpoint_best_effort(&managed, exit);
+    }
+    managed.run.finish();
+    managed.sink.flush();
+}
+
+/// Checkpoints a run on its way out of residency so the work done so far
+/// stays resumable; a failure is only reported.
+fn checkpoint_best_effort(managed: &ResidentRun, exit: &str) {
+    if managed.run.generation() >= 1 {
+        if let Err(error) = managed.run.checkpoint_now() {
+            eprintln!(
+                "gest serve: {exit} checkpoint for {} failed: {error}",
+                managed.id
+            );
         }
     }
 }
@@ -417,14 +430,8 @@ pub(crate) fn scheduler_loop(shared: &Arc<Shared>) {
 fn park_residents(shared: &Shared, resident: Vec<ResidentRun>) {
     for managed in resident {
         let id = managed.id.clone();
-        if managed.run.generation() >= 1 {
-            if let Err(error) = managed.run.checkpoint_now() {
-                eprintln!(
-                    "gest serve: shutdown checkpoint for {id} failed: {error}; \
-                     the run will restart from its last durable checkpoint"
-                );
-            }
-        }
+        // A failure leaves the run to restart from its last durable one.
+        checkpoint_best_effort(&managed, "shutdown");
         managed.sink.flush();
         // No `finish()`: shutdown pauses the run, the restarted server
         // appends to the same trace.
@@ -439,7 +446,7 @@ fn park_residents(shared: &Shared, resident: Vec<ResidentRun>) {
 /// (the PR 5 retry-once discipline — `checkpoint_now` already retries
 /// the manifest write internally, so this covers a *persistently*
 /// failing first round) before the run is failed.
-fn evict(shared: &Shared, managed: ResidentRun, fleet_lease: &mut Option<String>) {
+fn evict(shared: &Shared, managed: ResidentRun) {
     let id = managed.id.clone();
     let checkpointed = managed.run.checkpoint_now().or_else(|first| {
         eprintln!("gest serve: eviction checkpoint for {id} failed ({first}); retrying once");
@@ -456,30 +463,25 @@ fn evict(shared: &Shared, managed: ResidentRun, fleet_lease: &mut Option<String>
             entry.state = RunState::Failed;
             entry.error = Some(format!("eviction checkpoint failed twice: {error}"));
         });
-        release_lease(fleet_lease, &id);
         return;
     }
     shared.telemetry().add_counter("serve.evictions", 1);
     managed.sink.flush();
-    release_lease(fleet_lease, &id);
     with_entry(shared, &id, true, |entry| entry.converged = false);
-}
-
-fn release_lease(fleet_lease: &mut Option<String>, id: &str) {
-    if fleet_lease.as_deref() == Some(id) {
-        *fleet_lease = None;
-    }
 }
 
 /// Builds the live [`GestRun`] for an entry: the bit-exact resume path
 /// when the directory holds a checkpoint, a fresh build from the stored
 /// canonical XML otherwise (a kill before the first checkpoint restarts
 /// from generation 0 and deterministically rewrites the same artifacts).
+/// The run gets the eval cache `caches` holds for it; without one it
+/// builds its own (empty, or from the sidecar on resume) for `caches` to
+/// keep. It asks for the fleet when `fleet_free`.
 fn activate(
     shared: &Shared,
     id: &str,
     caches: &mut HashMap<String, Arc<EvalCache>>,
-    fleet_lease: &mut Option<String>,
+    fleet_free: bool,
 ) -> Result<ResidentRun, GestError> {
     let entry = shared
         .lock_runs()
@@ -488,55 +490,44 @@ fn activate(
         .cloned()
         .ok_or_else(|| GestError::Config(format!("run {id} vanished from the registry")))?;
     std::fs::create_dir_all(&entry.dir)?;
-    let config = GestConfig::from_xml_str(&entry.config_xml)?;
     let resume = entry.dir.join(CHECKPOINT_FILE).exists();
+    let mut builder = GestRun::builder().write_fs(Arc::clone(&shared.options.write_fs));
+    builder = if resume {
+        builder.resume_from(&entry.dir)
+    } else {
+        builder.config(GestConfig::from_xml_str(&entry.config_xml)?)
+    };
+    if let Some(cache) = caches.get(id) {
+        builder = builder.eval_cache_handle(Arc::clone(cache));
+    }
     let trace = entry.dir.join(TRACE_FILE);
     let sink = Arc::new(if resume {
         JsonlSink::append(&trace)?
     } else {
         JsonlSink::create(&trace)?
     });
-    let telemetry = Telemetry::new(Arc::clone(&sink) as Arc<dyn Sink>);
-
-    // The run's eval cache: warm if an earlier activation populated it.
-    let fingerprint = config.fingerprint();
-    let cache = Arc::clone(
-        caches
-            .entry(id.to_string())
-            .or_insert_with(|| Arc::new(EvalCache::new(config.eval_cache_bytes, fingerprint))),
-    );
-
-    let mut builder = GestRun::builder()
-        .telemetry(telemetry)
-        .eval_cache_handle(cache)
-        .write_fs(Arc::clone(&shared.options.write_fs));
-    builder = if resume {
-        builder.resume_from(&entry.dir)
-    } else {
-        builder.config(config)
-    };
-    if let Some(factory) = &shared.options.backend_factory {
-        if fleet_lease.is_none() {
-            match factory(&entry.config_xml) {
-                Ok(backend) => {
-                    builder = builder.eval_backend(backend);
-                    *fleet_lease = Some(id.to_string());
-                }
-                Err(error) => {
-                    eprintln!(
-                        "gest serve: fleet backend for {id} unavailable ({error}); \
-                         evaluating locally"
-                    );
-                }
+    builder = builder.telemetry(Telemetry::new(Arc::clone(&sink) as Arc<dyn Sink>));
+    let mut leased = false;
+    if let (Some(factory), true) = (&shared.options.backend_factory, fleet_free) {
+        match factory(&entry.config_xml) {
+            Ok(backend) => {
+                builder = builder.eval_backend(backend);
+                leased = true;
             }
+            Err(error) => eprintln!(
+                "gest serve: fleet backend for {id} unavailable ({error}); evaluating locally"
+            ),
         }
     }
     let run = builder.build()?;
+    if let Some(cache) = run.eval_cache() {
+        caches.insert(id.to_string(), Arc::clone(cache));
+    }
     Ok(ResidentRun {
         id: id.to_string(),
         run,
         sink,
-        touched: 0,
+        leased,
     })
 }
 

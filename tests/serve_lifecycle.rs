@@ -305,6 +305,14 @@ fn graceful_shutdown_parks_runs_and_a_new_server_resumes_them() {
     assert_eq!(doc.get("state").and_then(Value::as_str), Some("done"));
     assert_matches_reference(&dir, &reference);
 
+    // The restarted run's cache came back from the sidecar the shutdown
+    // checkpoint wrote: its first generation hits at least the elites.
+    let measured = measured_in_first_generation_after_resume(&dir);
+    assert!(
+        measured < 8,
+        "the first generation after the restart measured all {measured} candidates"
+    );
+
     // Cancelling a finished run is a reported no-op.
     let (status, body) =
         http_request(&addr, "DELETE", &format!("/runs/{id}"), &[], HTTP_TIMEOUT).unwrap();
@@ -323,4 +331,38 @@ fn status_doc_offline(dir: &Path) -> Option<String> {
     let text = std::fs::read_to_string(dir.join("serve_run.json")).ok()?;
     let doc = Value::parse(text.trim()).ok()?;
     doc.get("state").and_then(Value::as_str).map(str::to_string)
+}
+
+/// Leaders plus followers (the candidates the cache did not answer up
+/// front) of the first `evaluate.fanout` after the run's last `resume`
+/// point.
+fn measured_in_first_generation_after_resume(dir: &Path) -> u64 {
+    let trace = std::fs::read_to_string(dir.join("run_trace.jsonl")).unwrap();
+    let points: Vec<Value> = trace
+        .lines()
+        .filter_map(|line| Value::parse(line).ok())
+        .filter(|event| event.get("type").and_then(Value::as_str) == Some("point"))
+        .collect();
+    let name = |event: &Value| {
+        event
+            .get("name")
+            .and_then(Value::as_str)
+            .map(str::to_string)
+    };
+    let resume = points
+        .iter()
+        .rposition(|event| name(event).as_deref() == Some("resume"))
+        .expect("a resume point in the trace");
+    let fanout = points[resume..]
+        .iter()
+        .find(|event| name(event).as_deref() == Some("evaluate.fanout"))
+        .expect("a fan-out after the resume point");
+    let field = |key: &str| {
+        fanout
+            .get("fields")
+            .and_then(|fields| fields.get(key))
+            .and_then(Value::as_u64)
+            .unwrap()
+    };
+    field("leaders") + field("followers")
 }

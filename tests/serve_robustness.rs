@@ -9,8 +9,8 @@
 //! resident runs keep stepping.
 
 use gest::core::{
-    EvalBackend, EvalRequest, FaultPolicy, GestConfig, GestError, GestRun, OutputWriter,
-    CHECKPOINT_FILE,
+    EvalBackend, EvalRequest, FaultPolicy, GestConfig, GestError, GestRun, LocalBackend,
+    OutputWriter, Registry, CHECKPOINT_FILE,
 };
 use gest::obs::http_request;
 use gest::serve::registry::{save_index, RUN_MANIFEST_FILE};
@@ -22,6 +22,7 @@ use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -209,7 +210,6 @@ fn a_faulting_run_fails_with_its_error_while_a_healthy_run_stays_byte_identical(
     let fail_marker = fail_dir.to_string_lossy().into_owned();
     let mut options = ServeOptions::new(&state_dir);
     options.restart_budget = 1;
-    options.fleet = Some("outage".into());
     options.backend_factory = Some(Arc::new(move |config_xml: &str| {
         if config_xml.contains(&fail_marker) {
             Ok(Arc::new(OutageBackend) as Arc<dyn EvalBackend>)
@@ -245,6 +245,68 @@ fn a_faulting_run_fails_with_its_error_while_a_healthy_run_stays_byte_identical(
 
     drop(server);
     for dir in [&state_dir, &fail_dir, &healthy_dir] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+#[test]
+fn a_failed_activation_leaves_the_fleet_to_the_next_run() {
+    let state_dir = temp_dir("lease_state");
+    let broken_dir = temp_dir("lease_broken");
+    let healthy_dir = temp_dir("lease_healthy");
+    // A garbage checkpoint fails the broken run's activation in
+    // `build()`, after the factory has handed it the fleet backend.
+    std::fs::create_dir_all(&broken_dir).unwrap();
+    std::fs::write(broken_dir.join(CHECKPOINT_FILE), b"not a checkpoint").unwrap();
+    let broken_xml = search_config(&broken_dir, 5, 3).to_xml().to_string();
+    let healthy_config = search_config(&healthy_dir, 6, 3);
+    let healthy_xml = healthy_config.to_xml().to_string();
+
+    // The fleet: one local backend, handed out by a factory that counts
+    // how often the scheduler asks for it.
+    let measurement = Registry::default()
+        .build_measurement(
+            &healthy_config.measurement_name,
+            healthy_config.machine.clone(),
+            healthy_config.run_config,
+        )
+        .unwrap();
+    let backend: Arc<dyn EvalBackend> = Arc::new(LocalBackend::new(
+        measurement,
+        healthy_config.template.clone(),
+        1,
+    ));
+    let calls = Arc::new(AtomicUsize::new(0));
+    let mut options = ServeOptions::new(&state_dir);
+    options.backend_factory = Some({
+        let calls = Arc::clone(&calls);
+        Arc::new(move |_config_xml: &str| {
+            calls.fetch_add(1, Ordering::SeqCst);
+            Ok(Arc::clone(&backend))
+        })
+    });
+    let server = ServeServer::start("127.0.0.1:0", options).unwrap();
+    let addr = server.addr().to_string();
+
+    let broken_id = submit(&addr, &broken_xml, "");
+    wait_until("broken run terminal", || server.idle());
+    let doc = status_doc(&addr, &broken_id);
+    assert_eq!(doc.get("state").and_then(Value::as_str), Some("failed"));
+
+    // The failed activation held no lease, so the next run is offered
+    // the fleet again.
+    let healthy_id = submit(&addr, &healthy_xml, "");
+    wait_until("healthy run terminal", || server.idle());
+    let doc = status_doc(&addr, &healthy_id);
+    assert_eq!(doc.get("state").and_then(Value::as_str), Some("done"));
+    assert_eq!(
+        calls.load(Ordering::SeqCst),
+        2,
+        "the fleet was not offered to the run after a failed activation"
+    );
+
+    drop(server);
+    for dir in [&state_dir, &broken_dir, &healthy_dir] {
         let _ = std::fs::remove_dir_all(dir);
     }
 }
