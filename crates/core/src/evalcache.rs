@@ -27,7 +27,9 @@ use crate::output::{atomic_write, WriteFs};
 use gest_ga::Fnv128;
 use gest_isa::codec::{Decoder, Encoder, Sink};
 use gest_isa::Gene;
+use gest_sim::RunMetrics;
 use std::collections::HashMap;
+use std::ops::{Index, IndexMut};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -108,22 +110,11 @@ pub struct EvalKey {
 pub struct CachedEval {
     /// The measurement vector, in metric order.
     pub measurements: Vec<f64>,
-    /// The simulator's full stat export (`RunResult::metric_kv`) when the
+    /// The simulator's full stat export (`RunResult::metrics`) when the
     /// measurement provided detail; replayed into telemetry histograms on
     /// a hit so observability is independent of hit rate. Dropped by the
     /// on-disk sidecar (restored entries report `None`).
-    pub detail_kv: Option<Vec<(&'static str, f64)>>,
-}
-
-impl CachedEval {
-    /// Approximate heap footprint, for the memory cap.
-    fn payload_bytes(&self) -> usize {
-        self.measurements.len() * 8
-            + self
-                .detail_kv
-                .as_ref()
-                .map_or(0, |kv| kv.len() * (8 + std::mem::size_of::<&str>()))
-    }
+    pub detail_kv: Option<RunMetrics>,
 }
 
 /// Point-in-time counters of an [`EvalCache`].
@@ -163,23 +154,130 @@ impl EvalCacheStats {
 /// payload (key, slab node, map slot).
 const ENTRY_OVERHEAD: usize = 96;
 
+/// Bytes an entry is charged against the cap: 8 per measurement, plus 8
+/// per detail stat and the size of its name (the `(&str, f64)` pair the
+/// detail was once kept as), plus [`ENTRY_OVERHEAD`]. The node keeps all
+/// of it inline, so for the common shapes the charge overstates the real
+/// memory; the charge is kept so that a cap evicts the same entries and a
+/// sidecar holds the same records as before.
+fn charge(measurements: &[f64], detail: Option<&RunMetrics>) -> usize {
+    measurements.len() * 8
+        + detail.map_or(0, |detail| detail.len() * (8 + std::mem::size_of::<&str>()))
+        + ENTRY_OVERHEAD
+}
+
+/// Measurements a node keeps inline; every shipped plug-in reports three.
+const INLINE_MEASUREMENTS: usize = 4;
+
+/// A node's measurement vector: inline up to [`INLINE_MEASUREMENTS`]
+/// values, a boxed slice past that.
+#[derive(Debug)]
+enum Measurements {
+    Inline {
+        len: u8,
+        values: [f64; INLINE_MEASUREMENTS],
+    },
+    Boxed(Box<[f64]>),
+}
+
+impl Measurements {
+    const EMPTY: Measurements = Measurements::Inline {
+        len: 0,
+        values: [0.0; INLINE_MEASUREMENTS],
+    };
+
+    fn new(measurements: &[f64]) -> Measurements {
+        if measurements.len() > INLINE_MEASUREMENTS {
+            return Measurements::Boxed(measurements.into());
+        }
+        let mut values = [0.0; INLINE_MEASUREMENTS];
+        values[..measurements.len()].copy_from_slice(measurements);
+        Measurements::Inline {
+            len: measurements.len() as u8,
+            values,
+        }
+    }
+
+    fn as_slice(&self) -> &[f64] {
+        match self {
+            Measurements::Inline { len, values } => &values[..usize::from(*len)],
+            Measurements::Boxed(values) => values,
+        }
+    }
+}
+
 const NIL: usize = usize::MAX;
 
-/// One slab cell of the intrusive LRU list.
+/// One slab cell of the intrusive LRU list. It holds its entry inline:
+/// a node owns a heap block only for a measurement vector longer than
+/// [`INLINE_MEASUREMENTS`].
 #[derive(Debug)]
 struct Node {
     key: EvalKey,
-    value: CachedEval,
-    bytes: usize,
+    measurements: Measurements,
+    detail: Option<RunMetrics>,
     prev: usize,
     next: usize,
+}
+
+// Key, inline measurements, the 16-stat detail and the two links.
+const _: () = assert!(std::mem::size_of::<Node>() <= 240);
+
+impl Node {
+    fn charge(&self) -> usize {
+        charge(self.measurements.as_slice(), self.detail.as_ref())
+    }
+
+    fn to_cached(&self) -> CachedEval {
+        CachedEval {
+            measurements: self.measurements.as_slice().to_vec(),
+            detail_kv: self.detail,
+        }
+    }
+}
+
+/// Nodes per slab chunk. The slab grows a chunk at a time, so a growing
+/// cache never copies its nodes and leaves at most one chunk part-filled.
+const CHUNK: usize = 64;
+
+/// The LRU list's node storage, indexed like one vector.
+#[derive(Debug, Default)]
+struct Slab {
+    chunks: Vec<Vec<Node>>,
+}
+
+impl Slab {
+    /// Appends a node and returns its index.
+    fn push(&mut self, node: Node) -> usize {
+        if self.chunks.last().is_none_or(|chunk| chunk.len() == CHUNK) {
+            self.chunks.push(Vec::with_capacity(CHUNK));
+        }
+        let full = self.chunks.len() - 1;
+        let chunk = &mut self.chunks[full];
+        chunk.push(node);
+        full * CHUNK + chunk.len() - 1
+    }
+}
+
+impl Index<usize> for Slab {
+    type Output = Node;
+
+    fn index(&self, index: usize) -> &Node {
+        &self.chunks[index / CHUNK][index % CHUNK]
+    }
+}
+
+impl IndexMut<usize> for Slab {
+    fn index_mut(&mut self, index: usize) -> &mut Node {
+        &mut self.chunks[index / CHUNK][index % CHUNK]
+    }
 }
 
 /// Map + slab-backed doubly-linked LRU list.
 #[derive(Debug)]
 struct Inner {
     map: HashMap<EvalKey, usize>,
-    nodes: Vec<Node>,
+    nodes: Slab,
     free: Vec<usize>,
     /// Most recently used, or `NIL` when empty.
     head: usize,
@@ -192,7 +290,7 @@ impl Inner {
     fn new() -> Inner {
         Inner {
             map: HashMap::new(),
-            nodes: Vec::new(),
+            nodes: Slab::default(),
             free: Vec::new(),
             head: NIL,
             tail: NIL,
@@ -298,7 +396,7 @@ impl EvalCache {
     /// Looks up a key, refreshing its recency on a hit, and copies out
     /// the whole entry.
     pub fn get(&self, key: &EvalKey) -> Option<CachedEval> {
-        self.probe(key, CachedEval::clone)
+        self.probe(key, Node::to_cached)
     }
 
     /// [`get`](EvalCache::get) for a reader that needs only the
@@ -306,18 +404,18 @@ impl EvalCache {
     /// the simulator detail. Hit/miss counts and recency are updated
     /// exactly as by `get`.
     pub fn measurements(&self, key: &EvalKey) -> Option<Vec<f64>> {
-        self.probe(key, |value| value.measurements.clone())
+        self.probe(key, |node| node.measurements.as_slice().to_vec())
     }
 
     /// One counted lookup under the lock: on a hit, refreshes the entry's
-    /// recency and hands it to `read`.
-    fn probe<T>(&self, key: &EvalKey, read: impl FnOnce(&CachedEval) -> T) -> Option<T> {
+    /// recency and hands its node to `read`.
+    fn probe<T>(&self, key: &EvalKey, read: impl FnOnce(&Node) -> T) -> Option<T> {
         let mut inner = self.lock();
         match inner.map.get(key).copied() {
             Some(index) => {
                 inner.touch(index);
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(read(&inner.nodes[index].value))
+                Some(read(&inner.nodes[index]))
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -330,36 +428,36 @@ impl EvalCache {
     /// memory cap. Re-inserting an existing key replaces its value (the
     /// values are identical in practice — measurements are content-pure).
     pub fn insert(&self, key: EvalKey, value: CachedEval) {
-        let bytes = value.payload_bytes() + ENTRY_OVERHEAD;
+        self.insert_measured(key, &value.measurements, value.detail_kv);
+    }
+
+    /// [`insert`](EvalCache::insert) from borrowed measurements: the entry
+    /// copies them into its node, so a caller that keeps its vector needs
+    /// no second one.
+    pub fn insert_measured(&self, key: EvalKey, measurements: &[f64], detail: Option<RunMetrics>) {
+        let bytes = charge(measurements, detail.as_ref());
+        let measurements = Measurements::new(measurements);
         let mut inner = self.lock();
         self.inserts.fetch_add(1, Ordering::Relaxed);
         if let Some(index) = inner.map.get(&key).copied() {
-            inner.bytes = inner.bytes - inner.nodes[index].bytes + bytes;
-            inner.nodes[index].value = value;
-            inner.nodes[index].bytes = bytes;
+            inner.bytes = inner.bytes - inner.nodes[index].charge() + bytes;
+            inner.nodes[index].measurements = measurements;
+            inner.nodes[index].detail = detail;
             inner.touch(index);
         } else {
+            let node = Node {
+                key,
+                measurements,
+                detail,
+                prev: NIL,
+                next: NIL,
+            };
             let index = match inner.free.pop() {
                 Some(index) => {
-                    inner.nodes[index] = Node {
-                        key,
-                        value,
-                        bytes,
-                        prev: NIL,
-                        next: NIL,
-                    };
+                    inner.nodes[index] = node;
                     index
                 }
-                None => {
-                    inner.nodes.push(Node {
-                        key,
-                        value,
-                        bytes,
-                        prev: NIL,
-                        next: NIL,
-                    });
-                    inner.nodes.len() - 1
-                }
+                None => inner.nodes.push(node),
             };
             inner.push_front(index);
             inner.map.insert(key, index);
@@ -370,11 +468,8 @@ impl EvalCache {
             inner.unlink(victim);
             let victim_key = inner.nodes[victim].key;
             inner.map.remove(&victim_key);
-            inner.bytes -= inner.nodes[victim].bytes;
-            inner.nodes[victim].value = CachedEval {
-                measurements: Vec::new(),
-                detail_kv: None,
-            };
+            inner.bytes -= inner.nodes[victim].charge();
+            inner.nodes[victim].measurements = Measurements::EMPTY;
             inner.free.push(victim);
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
@@ -397,9 +492,8 @@ impl EvalCache {
     /// Serializes the entries (least recent first, so loading restores
     /// recency order). Each record is length-prefixed and carries a
     /// CRC-32 of its bytes, so load can drop individually corrupted
-    /// records instead of discarding the whole sidecar. Detail key/value
-    /// exports are dropped: they hold `&'static str` keys that cannot be
-    /// restored from disk, and only telemetry consumes them.
+    /// records instead of discarding the whole sidecar. The simulator
+    /// detail is dropped: only telemetry consumes it.
     pub fn encode(&self) -> Vec<u8> {
         let inner = self.lock();
         let mut enc = Encoder::new();
@@ -415,8 +509,9 @@ impl EvalCache {
             let mut fields = Encoder::with_sink(&mut record);
             fields.u64((node.key.genes_hash >> 64) as u64);
             fields.u64(node.key.genes_hash as u64);
-            fields.varint(node.value.measurements.len() as u64);
-            for &m in &node.value.measurements {
+            let measurements = node.measurements.as_slice();
+            fields.varint(measurements.len() as u64);
+            for &m in measurements {
                 fields.f64(m);
             }
             enc.bytes(&record);
@@ -488,6 +583,9 @@ impl EvalCache {
             return cache;
         };
         let mut dropped: u64 = 0;
+        // One buffer for every record's measurements: the node copies
+        // them out.
+        let mut measurements = Vec::new();
         for _ in 0..count {
             // A failure here is structural (a corrupted length prefix
             // desynchronized the stream): stop, keeping earlier records.
@@ -501,33 +599,29 @@ impl EvalCache {
                 dropped += 1;
                 continue;
             }
-            let Ok((genes_hash, measurements)) =
-                (|| -> Result<(u128, Vec<f64>), gest_isa::CodecError> {
-                    let mut rec = Decoder::new(record);
-                    let hi = rec.u64()?;
-                    let lo = rec.u64()?;
-                    let n = rec.count(8, "measurements")?;
-                    let mut measurements = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        measurements.push(rec.f64()?);
-                    }
-                    Ok(((u128::from(hi) << 64) | u128::from(lo), measurements))
-                })()
-            else {
+            measurements.clear();
+            let Ok(genes_hash) = (|| -> Result<u128, gest_isa::CodecError> {
+                let mut rec = Decoder::new(record);
+                let hi = rec.u64()?;
+                let lo = rec.u64()?;
+                let n = rec.count(8, "measurements")?;
+                for _ in 0..n {
+                    measurements.push(rec.f64()?);
+                }
+                Ok((u128::from(hi) << 64) | u128::from(lo))
+            })() else {
                 // CRC matched but the record does not decode: a schema
                 // bug rather than bit rot; drop just this record.
                 dropped += 1;
                 continue;
             };
-            cache.insert(
+            cache.insert_measured(
                 EvalKey {
                     config_fp,
                     genes_hash,
                 },
-                CachedEval {
-                    measurements,
-                    detail_kv: None,
-                },
+                &measurements,
+                None,
             );
         }
         // Decoding went through insert: reset the counters it inflated.
@@ -555,7 +649,7 @@ mod tests {
     fn value(seed: f64) -> CachedEval {
         CachedEval {
             measurements: vec![seed, seed * 2.0, seed * 3.0],
-            detail_kv: Some(vec![("ipc", seed)]),
+            detail_kv: Some(RunMetrics::from_values(&[seed])),
         }
     }
 

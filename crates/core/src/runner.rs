@@ -8,7 +8,7 @@ use crate::evalbackend::{
     catch_measure, catch_measure_batch, fail_lanes, watchdog_measure, EvalBackend, EvalRequest,
     LocalBackend,
 };
-use crate::evalcache::{genes_hash, CachedEval, EvalCache, EvalCacheStats, EvalKey};
+use crate::evalcache::{genes_hash, EvalCache, EvalCacheStats, EvalKey};
 use crate::fault::QUARANTINE_FITNESS;
 use crate::fitness::{Fitness, FitnessContext};
 use crate::genetics::PoolGenetics;
@@ -19,7 +19,6 @@ use crate::registry::{FitnessParams, Registry};
 use gest_ga::{Candidate, Evaluated, GaEngine, History, Population};
 use gest_isa::{Gene, Program};
 use gest_telemetry::{Buckets, FieldValue, SpanGuard, Telemetry};
-use std::borrow::Cow;
 use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -40,36 +39,32 @@ fn sim_buckets() -> &'static Buckets {
     BUCKETS.get_or_init(|| Buckets::exponential(1e-6, 10.0, 16))
 }
 
-/// `sim.{stat}` metric name for a [`gest_sim::RunResult::metric_kv`] stat:
-/// a static table, so traced runs do not format a name per stat per
-/// candidate. A stat missing from the table still gets its name, just
-/// formatted.
-fn sim_metric_name(stat: &str) -> Cow<'static, str> {
-    Cow::Borrowed(match stat {
-        "cycles" => "sim.cycles",
-        "instructions" => "sim.instructions",
-        "ipc" => "sim.ipc",
-        "energy_j" => "sim.energy_j",
-        "avg_power_w" => "sim.avg_power_w",
-        "chip_power_w" => "sim.chip_power_w",
-        "peak_power_w" => "sim.peak_power_w",
-        "temperature_c" => "sim.temperature_c",
-        "steady_temp_c" => "sim.steady_temp_c",
-        "l1_hits" => "sim.l1_hits",
-        "l1_misses" => "sim.l1_misses",
-        "l1_hit_rate" => "sim.l1_hit_rate",
-        "branch_accuracy" => "sim.branch_accuracy",
-        "voltage_p2p_v" => "sim.voltage_p2p_v",
-        "voltage_droop_v" => "sim.voltage_droop_v",
-        "voltage_min_v" => "sim.voltage_min_v",
-        other => return Cow::Owned(format!("sim.{other}")),
-    })
-}
+/// `sim.{stat}` metric name of each [`gest_sim::METRIC_NAMES`] stat, in
+/// the same order: a static table, so traced runs do not format a name
+/// per stat per candidate.
+const SIM_METRIC_NAMES: [&str; gest_sim::RunMetrics::CAPACITY] = [
+    "sim.cycles",
+    "sim.instructions",
+    "sim.ipc",
+    "sim.energy_j",
+    "sim.avg_power_w",
+    "sim.chip_power_w",
+    "sim.peak_power_w",
+    "sim.temperature_c",
+    "sim.steady_temp_c",
+    "sim.l1_hits",
+    "sim.l1_misses",
+    "sim.l1_hit_rate",
+    "sim.branch_accuracy",
+    "sim.voltage_p2p_v",
+    "sim.voltage_droop_v",
+    "sim.voltage_min_v",
+];
 
 /// Records a simulator run's stats into the `sim.*` histograms.
-fn record_sim_stats(telemetry: &Telemetry, kv: &[(&'static str, f64)]) {
-    for &(stat, value) in kv {
-        telemetry.record(&sim_metric_name(stat), sim_buckets(), value);
+fn record_sim_stats(telemetry: &Telemetry, metrics: &gest_sim::RunMetrics) {
+    for (name, &value) in SIM_METRIC_NAMES.iter().zip(metrics.values()) {
+        telemetry.record(name, sim_buckets(), value);
     }
 }
 
@@ -1332,8 +1327,8 @@ impl GestRun {
             return cache.measurements(key);
         }
         let cached = cache.get(key)?;
-        if let Some(kv) = &cached.detail_kv {
-            record_sim_stats(&self.telemetry, kv);
+        if let Some(metrics) = &cached.detail_kv {
+            record_sim_stats(&self.telemetry, metrics);
         }
         Some(cached.measurements)
     }
@@ -1368,20 +1363,14 @@ impl GestRun {
                 message: format!("backend returned a non-finite measurement ({bad})"),
             });
         }
-        let detail_kv = detail.as_ref().map(gest_sim::RunResult::metric_kv);
+        let metrics = detail.as_ref().map(gest_sim::RunResult::metrics);
         if self.telemetry.is_enabled() {
-            if let Some(kv) = &detail_kv {
-                record_sim_stats(&self.telemetry, kv);
+            if let Some(metrics) = &metrics {
+                record_sim_stats(&self.telemetry, metrics);
             }
         }
         if let (Some(cache), Some(key)) = (&self.eval_cache, key) {
-            cache.insert(
-                key,
-                CachedEval {
-                    measurements: measurements.clone(),
-                    detail_kv,
-                },
-            );
+            cache.insert_measured(key, &measurements, metrics);
         }
         Ok((self.score(candidate, &measurements), measurements))
     }
@@ -1768,16 +1757,14 @@ mod tests {
             .run(&program, &run.config.run_config)
             .unwrap();
         let kv = result.metric_kv();
-        assert!(
-            kv.iter().any(|(stat, _)| stat.starts_with("voltage_")),
+        assert_eq!(
+            kv.len(),
+            SIM_METRIC_NAMES.len(),
             "the PDN stats are covered too"
         );
-        for (stat, _) in kv {
-            let name = sim_metric_name(stat);
-            assert!(matches!(name, Cow::Borrowed(_)), "{stat} is in the table");
+        for ((stat, _), name) in kv.iter().zip(SIM_METRIC_NAMES) {
             assert_eq!(name, format!("sim.{stat}"));
         }
-        assert_eq!(sim_metric_name("new_stat"), "sim.new_stat");
     }
 
     #[test]

@@ -21,10 +21,9 @@ use gest_core::{catch_measure, EvalBackend, EvalRequest, GestConfig, LocalBacken
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// How often a busy worker emits `Heartbeat` frames.
 pub const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(500);
@@ -228,9 +227,10 @@ impl Worker {
 
         let backend = LocalBackend::new(measurement, config.template, 1);
 
-        // 3. Eval loop. While a measurement runs, a sibling thread emits
-        //    heartbeats so the coordinator can tell "slow" from "dead".
-        let writer = Arc::new(Mutex::new(stream.try_clone()?));
+        // 3. Eval loop. While a measurement runs, the session's heartbeat
+        //    thread emits heartbeats so the coordinator can tell "slow"
+        //    from "dead".
+        let heartbeat = Heartbeat::start(stream.try_clone()?);
         loop {
             let frame = match self.read_polling(&mut stream)? {
                 Some(frame) => frame,
@@ -251,15 +251,13 @@ impl Worker {
                     // The `Err` travels the wire as a message and is
                     // rehydrated into a `GestError::Measurement` by the
                     // coordinator.
-                    let (outcome, measure_us) = {
-                        let _beat = HeartbeatGuard::start(Arc::clone(&writer));
-                        let started = std::time::Instant::now();
-                        let outcome = catch_measure(candidate, || backend.measure(0, &request))
-                            .map(|(measurements, _detail)| measurements)
-                            .map_err(|e| e.to_string());
-                        let elapsed = started.elapsed().as_micros();
-                        (outcome, u64::try_from(elapsed).unwrap_or(u64::MAX))
-                    };
+                    heartbeat.measuring();
+                    let started = Instant::now();
+                    let outcome = catch_measure(candidate, || backend.measure(0, &request))
+                        .map(|(measurements, _detail)| measurements)
+                        .map_err(|e| e.to_string());
+                    let elapsed = started.elapsed().as_micros();
+                    let measure_us = u64::try_from(elapsed).unwrap_or(u64::MAX);
                     // The measurement vector is identical either way: v2
                     // only adds observability fields, so artifact bytes
                     // never depend on the negotiated version. The three
@@ -276,7 +274,7 @@ impl Worker {
                     } else {
                         Frame::EvalResult { candidate, outcome }
                     };
-                    write_frame(&mut *writer.lock().unwrap(), &reply)?;
+                    heartbeat.finish(&reply)?;
                 }
                 Frame::Heartbeat => {}
                 Frame::Shutdown => return Ok(()),
@@ -358,35 +356,82 @@ impl Read for RetryingReader<'_> {
     }
 }
 
-/// Emits heartbeats on a writer until dropped. The thread waits on a
-/// channel between beats, so dropping the guard (which drops the sender)
-/// wakes and ends it at once.
-struct HeartbeatGuard {
-    stop: Option<mpsc::Sender<()>>,
+/// A session's result writer and its one heartbeat thread. The thread
+/// sleeps while the worker is idle and, while a measurement is in
+/// flight, writes a `Heartbeat` every [`HEARTBEAT_INTERVAL`]. Dropping
+/// the handle ends and joins the thread.
+struct Heartbeat {
+    shared: Arc<(Mutex<BeatState>, Condvar)>,
     join: Option<JoinHandle<()>>,
 }
 
-impl HeartbeatGuard {
-    fn start(writer: Arc<Mutex<TcpStream>>) -> HeartbeatGuard {
-        let (stop, stopped) = mpsc::channel::<()>();
+/// What the session and its heartbeat thread share, under one lock.
+struct BeatState {
+    stream: TcpStream,
+    /// When the next beat is due; `None` while no measurement is in
+    /// flight.
+    due: Option<Instant>,
+    /// Set when the session ends.
+    closed: bool,
+}
+
+impl Heartbeat {
+    fn start(stream: TcpStream) -> Heartbeat {
+        let shared = Arc::new((
+            Mutex::new(BeatState {
+                stream,
+                due: None,
+                closed: false,
+            }),
+            Condvar::new(),
+        ));
+        let beats = Arc::clone(&shared);
         let join = std::thread::spawn(move || {
-            while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(HEARTBEAT_INTERVAL) {
-                let mut writer = writer.lock().unwrap();
-                if write_frame(&mut *writer, &Frame::Heartbeat).is_err() {
+            let (state, wake) = &*beats;
+            let mut state = state.lock().unwrap();
+            while !state.closed {
+                let Some(due) = state.due else {
+                    state = wake.wait(state).unwrap();
+                    continue;
+                };
+                let now = Instant::now();
+                if now < due {
+                    state = wake.wait_timeout(state, due - now).unwrap().0;
+                } else if write_frame(&mut state.stream, &Frame::Heartbeat).is_ok() {
+                    state.due = Some(now + HEARTBEAT_INTERVAL);
+                } else {
                     return;
                 }
             }
         });
-        HeartbeatGuard {
-            stop: Some(stop),
+        Heartbeat {
+            shared,
             join: Some(join),
         }
     }
+
+    /// A measurement starts: the first beat is due one interval from now.
+    fn measuring(&self) {
+        let (state, wake) = &*self.shared;
+        state.lock().unwrap().due = Some(Instant::now() + HEARTBEAT_INTERVAL);
+        wake.notify_one();
+    }
+
+    /// The measurement ended: writes its result. No beat is due any more,
+    /// and none can follow the result, since both happen under the lock
+    /// the thread beats under.
+    fn finish(&self, reply: &Frame) -> Result<(), DistError> {
+        let mut state = self.shared.0.lock().unwrap();
+        state.due = None;
+        write_frame(&mut state.stream, reply)
+    }
 }
 
-impl Drop for HeartbeatGuard {
+impl Drop for Heartbeat {
     fn drop(&mut self) {
-        drop(self.stop.take());
+        let (state, wake) = &*self.shared;
+        state.lock().unwrap().closed = true;
+        wake.notify_one();
         if let Some(join) = self.join.take() {
             let _ = join.join();
         }
@@ -437,5 +482,60 @@ impl Drop for WorkerHandle {
         if let Some(join) = self.join.take() {
             let _ = join.join();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::proto::read_frame;
+
+    fn result(candidate: u64) -> Frame {
+        Frame::EvalResult {
+            candidate,
+            outcome: Ok(vec![candidate as f64]),
+        }
+    }
+
+    #[test]
+    fn a_long_measurement_after_quick_ones_beats_before_its_result() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let worker_side = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut coordinator_side, _) = listener.accept().unwrap();
+
+        let heartbeat = Heartbeat::start(worker_side);
+        for candidate in 0..5 {
+            heartbeat.measuring();
+            heartbeat.finish(&result(candidate)).unwrap();
+        }
+        heartbeat.measuring();
+        std::thread::sleep(HEARTBEAT_INTERVAL * 3 / 2);
+        heartbeat.finish(&result(5)).unwrap();
+        // Ends and joins the session's one heartbeat thread, closing the
+        // worker's side of the stream.
+        drop(heartbeat);
+
+        let mut beats_in_flight = 0;
+        let mut next = 0;
+        while next <= 5 {
+            match read_frame(&mut coordinator_side).unwrap() {
+                Frame::Heartbeat if next == 5 => beats_in_flight += 1,
+                Frame::Heartbeat => {}
+                Frame::EvalResult { candidate, .. } => {
+                    assert_eq!(candidate, next, "results arrive in order");
+                    next += 1;
+                }
+                other => panic!("unexpected frame {other:?}"),
+            }
+        }
+        assert!(
+            beats_in_flight >= 1,
+            "a measurement past the interval must heartbeat"
+        );
+        let after = read_frame(&mut coordinator_side);
+        assert!(
+            matches!(&after, Err(e) if e.is_clean_eof()),
+            "no beat follows the last result: {after:?}"
+        );
     }
 }

@@ -62,7 +62,7 @@ pub use pdn::{Pdn, VoltageStats};
 pub use pipeline::{Pipeline, PipelineKind};
 pub use power::EnergyModel;
 pub use predictor::BranchPredictor;
-pub use result::{RunConfig, RunResult, SimError};
+pub use result::{RunConfig, RunMetrics, RunResult, SimError, METRIC_NAMES};
 pub use simulator::{RunScratch, Simulator, Traces};
 pub use thermal::{ThermalModel, ThermalSchedule};
 pub use vmin::{characterize_vmin, VminConfig, VminResult};

@@ -98,33 +98,109 @@ impl RunResult {
         self.voltage.map(|v| v.peak_to_peak())
     }
 
-    /// Every scalar in the result as stable `(name, value)` pairs — the
-    /// export surface for metric sinks. The simulator stays telemetry-free;
-    /// observers turn these into whatever metric shape they need.
+    /// Every scalar in the result, in [`METRIC_NAMES`] order, as one
+    /// fixed-size value — the export surface for metric sinks. The
+    /// simulator stays telemetry-free; observers turn these into whatever
+    /// metric shape they need.
     ///
-    /// PDN entries (`voltage_*`) appear only when the machine models one.
-    pub fn metric_kv(&self) -> Vec<(&'static str, f64)> {
-        let mut kv = vec![
-            ("cycles", self.cycles as f64),
-            ("instructions", self.instructions as f64),
-            ("ipc", self.ipc),
-            ("energy_j", self.energy_j),
-            ("avg_power_w", self.avg_power_w),
-            ("chip_power_w", self.chip_power_w),
-            ("peak_power_w", self.peak_power_w),
-            ("temperature_c", self.temperature_c),
-            ("steady_temp_c", self.steady_temp_c),
-            ("l1_hits", self.l1.hits as f64),
-            ("l1_misses", self.l1.misses as f64),
-            ("l1_hit_rate", self.l1.hit_rate()),
-            ("branch_accuracy", self.branch_accuracy),
-        ];
+    /// The PDN stats (`voltage_*`) are present only when the machine
+    /// models one: 13 values without a PDN, 16 with it.
+    pub fn metrics(&self) -> RunMetrics {
+        let mut metrics = RunMetrics::from_values(&[
+            self.cycles as f64,
+            self.instructions as f64,
+            self.ipc,
+            self.energy_j,
+            self.avg_power_w,
+            self.chip_power_w,
+            self.peak_power_w,
+            self.temperature_c,
+            self.steady_temp_c,
+            self.l1.hits as f64,
+            self.l1.misses as f64,
+            self.l1.hit_rate(),
+            self.branch_accuracy,
+        ]);
         if let Some(voltage) = self.voltage {
-            kv.push(("voltage_p2p_v", voltage.peak_to_peak()));
-            kv.push(("voltage_droop_v", voltage.max_droop()));
-            kv.push(("voltage_min_v", voltage.min_v));
+            metrics.values[13] = voltage.peak_to_peak();
+            metrics.values[14] = voltage.max_droop();
+            metrics.values[15] = voltage.min_v;
+            metrics.len = 16;
         }
-        kv
+        metrics
+    }
+
+    /// [`metrics`](RunResult::metrics) as `(name, value)` pairs.
+    pub fn metric_kv(&self) -> Vec<(&'static str, f64)> {
+        self.metrics().iter().collect()
+    }
+}
+
+/// Names of the stats [`RunResult::metrics`] exports, in order.
+pub const METRIC_NAMES: [&str; RunMetrics::CAPACITY] = [
+    "cycles",
+    "instructions",
+    "ipc",
+    "energy_j",
+    "avg_power_w",
+    "chip_power_w",
+    "peak_power_w",
+    "temperature_c",
+    "steady_temp_c",
+    "l1_hits",
+    "l1_misses",
+    "l1_hit_rate",
+    "branch_accuracy",
+    "voltage_p2p_v",
+    "voltage_droop_v",
+    "voltage_min_v",
+];
+
+/// A run's exported stats: the first [`len`](RunMetrics::len) of
+/// [`METRIC_NAMES`] with their values, held inline so that keeping one
+/// (the eval cache keeps one per entry) costs no heap block.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RunMetrics {
+    values: [f64; RunMetrics::CAPACITY],
+    len: u8,
+}
+
+impl RunMetrics {
+    /// The most stats a run exports (every [`METRIC_NAMES`] entry).
+    pub const CAPACITY: usize = 16;
+
+    /// The stats named by the first `values.len()` of [`METRIC_NAMES`].
+    ///
+    /// # Panics
+    ///
+    /// If `values` holds more than [`RunMetrics::CAPACITY`] values.
+    pub fn from_values(values: &[f64]) -> RunMetrics {
+        let mut metrics = RunMetrics {
+            values: [0.0; RunMetrics::CAPACITY],
+            len: values.len() as u8,
+        };
+        metrics.values[..values.len()].copy_from_slice(values);
+        metrics
+    }
+
+    /// The values, in [`METRIC_NAMES`] order.
+    pub fn values(&self) -> &[f64] {
+        &self.values[..usize::from(self.len)]
+    }
+
+    /// How many stats are present.
+    pub fn len(&self) -> usize {
+        usize::from(self.len)
+    }
+
+    /// Whether no stat is present.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// `(name, value)` pairs, in [`METRIC_NAMES`] order.
+    pub fn iter(&self) -> impl Iterator<Item = (&'static str, f64)> + '_ {
+        METRIC_NAMES.into_iter().zip(self.values().iter().copied())
     }
 }
 
