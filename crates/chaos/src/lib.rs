@@ -48,7 +48,6 @@
 mod backend;
 mod fs;
 mod plan;
-mod rng;
 pub mod serve;
 pub mod soak;
 mod transport;
@@ -56,7 +55,6 @@ mod transport;
 pub use backend::ChaosBackend;
 pub use fs::ChaosFs;
 pub use plan::{FaultKind, FaultLayer, FaultPlan};
-pub use rng::Xoshiro256;
 pub use serve::{
     run_serve_soak, ServeRunOutcome, ServeSoakOptions, ServeSoakReport, StepPanicBackend,
 };

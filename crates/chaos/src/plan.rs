@@ -1,13 +1,14 @@
 //! Fault taxonomy and the seeded plan that schedules it.
 //!
 //! A [`FaultPlan`] is a deterministic sequence of [`FaultKind`]s drawn
-//! from a xoshiro256\*\* stream: the same `(seed, count)` always yields
-//! the same plan, so a failing chaos run is reproducible from its seed.
-//! The plan is split by injection layer — evaluation backend, dist
+//! from the workspace's seeded `StdRng`: the same `(seed, count)` always
+//! yields the same plan, so a failing chaos run is reproducible from its
+//! seed. The plan is split by injection layer — evaluation backend, dist
 //! transport, persistence — and each layer's shim consumes its own
 //! sub-schedule.
 
-use crate::rng::Xoshiro256;
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -219,10 +220,13 @@ impl FaultPlan {
     /// If `kinds` is empty.
     pub fn generate_from(seed: u64, count: usize, kinds: &[FaultKind]) -> FaultPlan {
         assert!(!kinds.is_empty(), "a fault taxonomy cannot be empty");
-        let mut rng = Xoshiro256::seeded(seed);
+        // `next_u64() % bound`, not `random_range`: the plan's byte
+        // stability rests on this exact reduction (its slight modulo bias
+        // is irrelevant at bounds of a dozen or so).
+        let mut rng = StdRng::seed_from_u64(seed);
         let mut shuffled = kinds.to_vec();
         for i in (1..shuffled.len()).rev() {
-            let j = rng.below(i as u64 + 1) as usize;
+            let j = (rng.next_u64() % (i as u64 + 1)) as usize;
             shuffled.swap(i, j);
         }
         let mut faults = Vec::with_capacity(count);
@@ -230,7 +234,7 @@ impl FaultPlan {
             match shuffled.get(slot) {
                 Some(&kind) => faults.push(kind),
                 None => {
-                    let pick = rng.below(kinds.len() as u64) as usize;
+                    let pick = (rng.next_u64() % kinds.len() as u64) as usize;
                     faults.push(kinds[pick]);
                 }
             }
@@ -346,6 +350,36 @@ mod tests {
         .map(|layer| plan.for_layer(layer).len())
         .sum();
         assert_eq!(split, plan.faults().len());
+    }
+
+    #[test]
+    fn plans_are_byte_stable_per_seed() {
+        // The plans the CI chaos soaks run: `gest chaos --seed=1` and
+        // `--seed=2 --faults=12`, and `gest chaos --serve --seed=1/2`.
+        assert_eq!(
+            FaultPlan::generate(1, 12).to_string(),
+            "seed 0x1: disk_full_on_save, measure_panic, drop_frame, torn_checkpoint_write, \
+             delay_heartbeat, garble_frame, measure_hang, worker_kill, truncate_frame, \
+             non_finite_measurement, corrupt_cache_record, corrupt_cache_record"
+        );
+        assert_eq!(
+            FaultPlan::generate(2, 12).to_string(),
+            "seed 0x2: disk_full_on_save, worker_kill, drop_frame, torn_checkpoint_write, \
+             measure_hang, measure_panic, garble_frame, truncate_frame, delay_heartbeat, \
+             non_finite_measurement, corrupt_cache_record, delay_heartbeat"
+        );
+        let serve =
+            |seed| FaultPlan::generate_from(seed, FaultKind::SERVE.len(), &FaultKind::SERVE);
+        assert_eq!(
+            serve(1).to_string(),
+            "seed 0x1: measure_hang, registry_persist_torn, non_finite_measurement, \
+             serve_checkpoint_enospc, measure_panic, registry_persist_enospc, step_panic"
+        );
+        assert_eq!(
+            serve(2).to_string(),
+            "seed 0x2: step_panic, serve_checkpoint_enospc, measure_panic, measure_hang, \
+             registry_persist_torn, registry_persist_enospc, non_finite_measurement"
+        );
     }
 
     #[test]

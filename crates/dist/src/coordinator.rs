@@ -21,8 +21,7 @@
 //! retrying elsewhere.
 
 use crate::proto::{
-    read_frame, read_payload, write_frame, DistError, Frame, TransportChaos, MIN_PROTOCOL_VERSION,
-    PROTOCOL_VERSION,
+    read_frame, read_payload, write_frame, DistError, Frame, TransportChaos, PROTOCOL_VERSION,
 };
 use gest_core::{config_fingerprint, EvalBackend, EvalRequest, GestError};
 use gest_sim::RunResult;
@@ -72,9 +71,6 @@ struct Conn {
     /// telemetry and reconnection).
     index: usize,
     stream: TcpStream,
-    /// Protocol version negotiated at handshake: min(ours, worker's).
-    /// Decides whether this worker replies with v1 or v2 result frames.
-    version: u32,
     /// The worker's self-reported host name from `ConfigAck`, for
     /// fleet-attributed telemetry.
     host: String,
@@ -193,20 +189,14 @@ impl Coordinator {
         stream.set_read_timeout(Some(self.options.heartbeat_timeout))?;
 
         write_frame(&mut stream, &Frame::hello())?;
-        // The worker echoes min(our version, its version); anything in
-        // our supported range is a valid session version, so a v1-only
-        // worker still joins a v2 coordinator's fleet (it just sends v1
-        // result frames without the observability extras).
-        let version = match read_frame(&mut stream)? {
-            Frame::Hello { version }
-                if (MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) =>
-            {
-                version
-            }
+        match read_frame(&mut stream)? {
+            Frame::Hello {
+                version: PROTOCOL_VERSION,
+            } => {}
             Frame::Hello { version } => {
                 return Err(DistError::Protocol(format!(
-                    "protocol version mismatch: worker negotiated {version}, \
-                     coordinator speaks {MIN_PROTOCOL_VERSION}..={PROTOCOL_VERSION}"
+                    "protocol version mismatch: worker speaks {version}, \
+                     coordinator speaks {PROTOCOL_VERSION}"
                 )))
             }
             Frame::Error { message } => return Err(DistError::Protocol(message)),
@@ -215,7 +205,7 @@ impl Coordinator {
                     "expected Hello, got {other:?}"
                 )))
             }
-        };
+        }
         write_frame(
             &mut stream,
             &Frame::Config {
@@ -239,13 +229,12 @@ impl Coordinator {
                         ("worker", (index as u64).into()),
                         ("addr", self.addrs[index].as_str().into()),
                         ("host", host.as_str().into()),
-                        ("version", u64::from(version).into()),
+                        ("version", u64::from(PROTOCOL_VERSION).into()),
                     ],
                 );
                 Ok(Conn {
                     index,
                     stream,
-                    version,
                     host,
                 })
             }
@@ -369,30 +358,15 @@ impl Coordinator {
             );
             let (candidate, reply) = match frame {
                 Frame::Heartbeat => continue,
-                Frame::EvalResult { candidate, outcome } => (
-                    candidate,
-                    WorkerReply {
-                        outcome,
-                        measure_us: None,
-                    },
-                ),
-                Frame::EvalResultV2 { .. } if conn.version < 2 => {
-                    return Err(DistError::Protocol(format!(
-                        "worker sent a v2 result frame on a v{} session",
-                        conn.version
-                    )))
-                }
-                // The cache fields are reserved: workers keep no cache.
-                Frame::EvalResultV2 {
+                Frame::EvalResult {
                     candidate,
                     outcome,
                     measure_us,
-                    ..
                 } => (
                     candidate,
                     WorkerReply {
                         outcome,
-                        measure_us: Some(measure_us),
+                        measure_us,
                     },
                 ),
                 Frame::Error { message } => return Err(DistError::Protocol(message)),
@@ -418,11 +392,11 @@ impl Coordinator {
     }
 }
 
-/// One worker reply: the measurement outcome, plus the worker-side
-/// measure time a v2 session carries (`None` on a v1 session).
+/// One worker reply: the measurement outcome and the worker-side
+/// measure time.
 struct WorkerReply {
     outcome: Result<Vec<f64>, String>,
-    measure_us: Option<u64>,
+    measure_us: u64,
 }
 
 impl EvalBackend for Coordinator {
@@ -487,7 +461,7 @@ impl Coordinator {
         Some(fallback.as_ref())
     }
 
-    /// Folds one v2 reply's worker-side measure time into the merged
+    /// Folds one reply's worker-side measure time into the merged
     /// trace: a worker-attributed point (the distributed analogue of the
     /// local eval span) and a fleet-wide measure-time histogram.
     fn emit_worker_measure(&self, conn: &Conn, request: &EvalRequest<'_>, measure_us: u64) {
@@ -541,9 +515,7 @@ impl Coordinator {
                     drop(span);
                     self.telemetry
                         .add_counter(&format!("dist.worker.{}.requests", conn.index), 1);
-                    if let Some(measure_us) = reply.measure_us {
-                        self.emit_worker_measure(&conn, request, measure_us);
-                    }
+                    self.emit_worker_measure(&conn, request, reply.measure_us);
                     self.checkin(conn);
                     return match reply.outcome {
                         Ok(measurements) => Ok((measurements, None)),

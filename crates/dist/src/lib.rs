@@ -5,9 +5,12 @@
 //! parallel across identical boards.
 //!
 //! * [`proto`] — the `GESTDST1` length-prefixed binary frame protocol
-//!   (hello/config handshake, eval request/result, heartbeat, shutdown);
+//!   (hello/config handshake, eval request/result, heartbeat, shutdown).
+//!   Both ends must speak the same [`PROTOCOL_VERSION`]; a peer of
+//!   another version is refused at connect, with both versions named;
 //! * [`Worker`] — a server that builds the run's measurement locally and
-//!   measures candidates on request through a `LocalBackend`;
+//!   measures candidates on request through a `LocalBackend`. It blocks
+//!   in `accept` and in frame reads; [`WorkerHandle::kill`] unblocks it;
 //! * [`Coordinator`] — a [`gest_core::EvalBackend`] that work-steals
 //!   candidates across the worker fleet, retries transport failures on
 //!   surviving workers, and reconnects crashed ones.
@@ -35,10 +38,7 @@ mod coordinator;
 mod worker;
 
 pub use coordinator::{Coordinator, CoordinatorOptions};
-pub use proto::{
-    negotiate_version, DistError, Frame, TransportChaos, MAGIC, MAX_FRAME, MIN_PROTOCOL_VERSION,
-    PROTOCOL_VERSION,
-};
+pub use proto::{DistError, Frame, TransportChaos, MAGIC, MAX_FRAME, PROTOCOL_VERSION};
 pub use worker::{hostname, Worker, WorkerHandle, HEARTBEAT_INTERVAL};
 
 #[cfg(test)]
@@ -244,50 +244,108 @@ mod tests {
     }
 
     #[test]
-    fn v2_worker_serves_a_v1_coordinator_with_v1_result_frames() {
+    fn a_coordinator_of_another_version_gets_an_error_naming_both() {
         use proto::{read_frame, write_frame};
 
-        let xml = test_config_xml();
-        let fingerprint = gest_core::config_fingerprint(&xml);
         let worker = Worker::bind("127.0.0.1:0").unwrap().spawn();
-
-        // Hand-rolled "old coordinator": speaks exactly protocol v1.
+        // Hand-rolled coordinator of an older protocol version.
         let mut stream = std::net::TcpStream::connect(worker.addr()).unwrap();
-        write_frame(&mut stream, &Frame::Hello { version: 1 }).unwrap();
+        write_frame(&mut stream, &Frame::Hello { version: 2 }).unwrap();
         match read_frame(&mut stream).unwrap() {
-            Frame::Hello { version } => assert_eq!(version, 1, "worker must downgrade to v1"),
-            other => panic!("expected Hello, got {other:?}"),
+            Frame::Error { message } => assert!(
+                message.contains("coordinator speaks 2")
+                    && message.contains(&format!("worker speaks {PROTOCOL_VERSION}")),
+                "{message}"
+            ),
+            other => panic!("expected Error, got {other:?}"),
         }
-        write_frame(&mut stream, &Frame::Config { xml: xml.clone() }).unwrap();
-        match read_frame(&mut stream).unwrap() {
-            Frame::ConfigAck {
-                fingerprint: acked, ..
-            } => assert_eq!(acked, fingerprint),
-            other => panic!("expected ConfigAck, got {other:?}"),
-        }
-        write_frame(
-            &mut stream,
-            &Frame::EvalRequest {
-                generation: 0,
-                candidate: 42,
-                genes: some_genes(&xml),
-            },
+        worker.kill();
+    }
+
+    #[test]
+    fn a_worker_of_another_version_fails_connect_naming_it() {
+        use proto::{read_frame, write_frame};
+
+        // Hand-rolled worker of an older protocol version: it answers any
+        // Hello with its own.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let old_worker = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            assert!(matches!(read_frame(&mut stream), Ok(Frame::Hello { .. })));
+            write_frame(&mut stream, &Frame::Hello { version: 2 }).unwrap();
+        });
+        let err = Coordinator::connect(
+            std::slice::from_ref(&addr),
+            test_config_xml(),
+            Telemetry::disabled(),
+            CoordinatorOptions::default(),
+        )
+        .unwrap_err();
+        old_worker.join().unwrap();
+        assert!(
+            matches!(err, gest_core::GestError::Config(ref m)
+                if m.contains(&addr)
+                    && m.contains("worker speaks 2")
+                    && m.contains(&format!("coordinator speaks {PROTOCOL_VERSION}"))),
+            "{err}"
+        );
+    }
+
+    /// Kills `worker` and asserts that the kill returns within a second.
+    /// The kill runs on its own thread, so a kill that never returns
+    /// fails the test instead of hanging it.
+    fn assert_kill_is_prompt(worker: WorkerHandle) {
+        let (done, killed) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            worker.kill();
+            let _ = done.send(());
+        });
+        assert!(
+            killed
+                .recv_timeout(std::time::Duration::from_secs(1))
+                .is_ok(),
+            "kill did not return within 1 s"
+        );
+    }
+
+    #[test]
+    fn kill_returns_promptly_from_a_worker_that_never_accepted() {
+        assert_kill_is_prompt(Worker::bind("127.0.0.1:0").unwrap().spawn());
+    }
+
+    #[test]
+    fn kill_returns_promptly_from_an_idle_session() {
+        let worker = Worker::bind("127.0.0.1:0").unwrap().spawn();
+        // A connected coordinator that sends nothing leaves the worker
+        // blocked reading its next request.
+        let coordinator = Coordinator::connect(
+            &[worker.addr().to_string()],
+            test_config_xml(),
+            Telemetry::disabled(),
+            CoordinatorOptions::default(),
         )
         .unwrap();
-        // A v1 session must never see the v2 result kind.
-        loop {
-            match read_frame(&mut stream).unwrap() {
-                Frame::Heartbeat => continue,
-                Frame::EvalResult { candidate, outcome } => {
-                    assert_eq!(candidate, 42);
-                    assert!(outcome.is_ok(), "{outcome:?}");
-                    break;
-                }
-                other => panic!("v1 session got non-v1 result frame: {other:?}"),
-            }
-        }
-        write_frame(&mut stream, &Frame::Shutdown).unwrap();
-        worker.kill();
+        assert_kill_is_prompt(worker);
+        drop(coordinator);
+    }
+
+    #[test]
+    fn kill_returns_promptly_mid_handshake() {
+        use proto::{read_frame, write_frame};
+
+        let worker = Worker::bind("127.0.0.1:0").unwrap().spawn();
+        // Hello answered, Config never sent: the worker is blocked
+        // reading the configuration.
+        let mut stream = std::net::TcpStream::connect(worker.addr()).unwrap();
+        write_frame(&mut stream, &Frame::hello()).unwrap();
+        assert_eq!(read_frame(&mut stream).unwrap(), Frame::hello());
+        assert_kill_is_prompt(worker);
+        let after = read_frame(&mut stream);
+        assert!(
+            matches!(&after, Err(e) if e.is_clean_eof()),
+            "a killed worker closes the session: {after:?}"
+        );
     }
 
     #[test]

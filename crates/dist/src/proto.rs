@@ -15,15 +15,12 @@
 //! `EvalResult` pairs interleaved with worker→coordinator `Heartbeat`
 //! frames, ended by `Shutdown` or connection close.
 //!
-//! Versions are *negotiated*, not matched: each side sends the highest
-//! version it speaks, the worker echoes `min(coordinator, worker)`, and
-//! both sides then speak that session version. Version 2 adds
-//! [`Frame::EvalResultV2`], which carries worker-side measure timing
-//! back with each result so the coordinator can merge one fleet-wide
-//! trace; a v1 peer on either end keeps the session
-//! at v1 with the original result frame. The extra v2 fields are
-//! observability-only — the measurement vector is identical either way,
-//! so artifact bytes never depend on the negotiated version.
+//! Versions must match: both ends ship in the same `gest` binary, so a
+//! peer whose `Hello` carries another version is refused at connect,
+//! with both versions in the message, like a fingerprint mismatch.
+//! Every `EvalResult` carries the worker-side measure time, which the
+//! coordinator folds into one fleet-wide trace; it is observability
+//! only and never reaches an artifact.
 
 use gest_isa::codec::{Decoder, Encoder};
 use gest_isa::{CodecError, Gene};
@@ -32,18 +29,9 @@ use std::io::{self, Read, Write};
 /// Protocol magic carried in the `Hello` frame.
 pub const MAGIC: &[u8; 8] = b"GESTDST1";
 
-/// Highest protocol version this build speaks; bump on any wire-format
-/// change.
-pub const PROTOCOL_VERSION: u32 = 2;
-
-/// Oldest protocol version this build still accepts from a peer.
-pub const MIN_PROTOCOL_VERSION: u32 = 1;
-
-/// `min(peer, ours)` when the peer is acceptable: the session version
-/// both sides speak.
-pub fn negotiate_version(peer: u32) -> Option<u32> {
-    (peer >= MIN_PROTOCOL_VERSION).then(|| peer.min(PROTOCOL_VERSION))
-}
+/// The protocol version this build speaks; both peers must send the
+/// same one. Bump on any wire-format change.
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Upper bound on a frame payload, guarding against garbage lengths from
 /// a confused peer (a population's genes are a few KiB; configs < 1 MiB).
@@ -156,26 +144,10 @@ pub enum Frame {
         /// The measurement vector, or the failure message (measurement
         /// errors and contained panics both arrive here).
         outcome: Result<Vec<f64>, String>,
-    },
-    /// Worker → coordinator (protocol ≥ 2): the measurement outcome plus
-    /// worker-side observability. Carries the same `outcome` a v1
-    /// `EvalResult` would — the extra fields feed the coordinator's
-    /// merged fleet trace and never influence the result itself.
-    EvalResultV2 {
-        /// Candidate id echoed from the request.
-        candidate: u64,
-        /// The measurement vector, or the failure message.
-        outcome: Result<Vec<f64>, String>,
         /// Wall-clock microseconds the worker spent producing the
-        /// outcome.
+        /// outcome; it feeds the coordinator's merged fleet trace and
+        /// never influences the result itself.
         measure_us: u64,
-        /// Reserved for wire compatibility: workers keep no cache, write
-        /// `false` and receivers ignore it.
-        cache_hit: bool,
-        /// Reserved for wire compatibility: written `0`, ignored.
-        cache_hits: u64,
-        /// Reserved for wire compatibility: written `0`, ignored.
-        cache_misses: u64,
     },
     /// Worker → coordinator liveness signal while a measurement runs.
     Heartbeat,
@@ -196,7 +168,6 @@ const KIND_EVAL_RESULT: u8 = 5;
 const KIND_HEARTBEAT: u8 = 6;
 const KIND_SHUTDOWN: u8 = 7;
 const KIND_ERROR: u8 = 8;
-const KIND_EVAL_RESULT_V2: u8 = 9;
 
 impl Frame {
     /// A `Hello` frame for this build's protocol version.
@@ -231,24 +202,14 @@ impl Frame {
                     .u64(*candidate)
                     .genes(genes);
             }
-            Frame::EvalResult { candidate, outcome } => {
-                enc.u8(KIND_EVAL_RESULT).u64(*candidate);
-                encode_outcome(&mut enc, outcome);
-            }
-            Frame::EvalResultV2 {
+            Frame::EvalResult {
                 candidate,
                 outcome,
                 measure_us,
-                cache_hit,
-                cache_hits,
-                cache_misses,
             } => {
-                enc.u8(KIND_EVAL_RESULT_V2).u64(*candidate);
+                enc.u8(KIND_EVAL_RESULT).u64(*candidate);
                 encode_outcome(&mut enc, outcome);
-                enc.u64(*measure_us)
-                    .u8(u8::from(*cache_hit))
-                    .varint(*cache_hits)
-                    .varint(*cache_misses);
+                enc.u64(*measure_us);
             }
             Frame::Heartbeat => {
                 enc.u8(KIND_HEARTBEAT);
@@ -302,29 +263,11 @@ impl Frame {
                     genes,
                 }
             }
-            KIND_EVAL_RESULT => {
-                let candidate = dec.u64()?;
-                let outcome = decode_outcome(&mut dec)?;
-                Frame::EvalResult { candidate, outcome }
-            }
-            KIND_EVAL_RESULT_V2 => {
-                let candidate = dec.u64()?;
-                let outcome = decode_outcome(&mut dec)?;
-                let measure_us = dec.u64()?;
-                let cache_hit = match dec.u8()? {
-                    0 => false,
-                    1 => true,
-                    tag => return Err(DistError::Protocol(format!("bad cache-hit flag {tag}"))),
-                };
-                Frame::EvalResultV2 {
-                    candidate,
-                    outcome,
-                    measure_us,
-                    cache_hit,
-                    cache_hits: dec.varint()?,
-                    cache_misses: dec.varint()?,
-                }
-            }
+            KIND_EVAL_RESULT => Frame::EvalResult {
+                candidate: dec.u64()?,
+                outcome: decode_outcome(&mut dec)?,
+                measure_us: dec.u64()?,
+            },
             KIND_HEARTBEAT => Frame::Heartbeat,
             KIND_SHUTDOWN => Frame::Shutdown,
             KIND_ERROR => Frame::Error {
@@ -342,8 +285,8 @@ impl Frame {
     }
 }
 
-/// Encodes an eval outcome (shared by the v1 and v2 result frames):
-/// tag 0 + measurement vector, or tag 1 + failure message.
+/// Encodes an eval outcome: tag 0 + measurement vector, or tag 1 +
+/// failure message.
 fn encode_outcome(enc: &mut Encoder, outcome: &Result<Vec<f64>, String>) {
     match outcome {
         Ok(measurements) => {
@@ -486,26 +429,12 @@ mod tests {
         roundtrip(Frame::EvalResult {
             candidate: 123,
             outcome: Ok(vec![1.5, -2.25, 0.0]),
+            measure_us: 4_200,
         });
         roundtrip(Frame::EvalResult {
             candidate: 9,
             outcome: Err("probe fell off".into()),
-        });
-        roundtrip(Frame::EvalResultV2 {
-            candidate: 123,
-            outcome: Ok(vec![1.5, -2.25]),
-            measure_us: 4_200,
-            cache_hit: true,
-            cache_hits: 17,
-            cache_misses: 3,
-        });
-        roundtrip(Frame::EvalResultV2 {
-            candidate: 9,
-            outcome: Err("probe fell off".into()),
             measure_us: 12,
-            cache_hit: false,
-            cache_hits: 0,
-            cache_misses: 1,
         });
         roundtrip(Frame::Heartbeat);
         roundtrip(Frame::Shutdown);
@@ -572,37 +501,17 @@ mod tests {
     }
 
     #[test]
-    fn version_negotiation_takes_the_minimum() {
-        assert_eq!(negotiate_version(1), Some(1));
-        assert_eq!(negotiate_version(PROTOCOL_VERSION), Some(PROTOCOL_VERSION));
-        // A future peer downgrades to what we speak.
-        assert_eq!(
-            negotiate_version(PROTOCOL_VERSION + 5),
-            Some(PROTOCOL_VERSION)
-        );
-        assert_eq!(negotiate_version(0), None);
-    }
-
-    #[test]
-    fn v2_result_rejects_bad_cache_flag() {
-        let frame = Frame::EvalResultV2 {
-            candidate: 1,
-            outcome: Ok(vec![]),
-            measure_us: 0,
-            cache_hit: false,
-            cache_hits: 0,
-            cache_misses: 0,
-        };
-        let mut payload = frame.encode();
-        // The cache-hit flag sits right after the 8-byte measure_us;
-        // flip it to something that is neither 0 nor 1.
-        let flag_offset = payload.len() - 3;
-        payload[flag_offset] = 7;
-        let err = Frame::decode(&payload).unwrap_err();
-        assert!(
-            matches!(err, DistError::Protocol(ref m) if m.contains("cache-hit")),
-            "{err}"
-        );
+    fn hello_of_every_version_decodes() {
+        // Every version's `Hello` has had this layout, so a peer of
+        // another version is always reported as a version mismatch,
+        // never as a malformed frame.
+        for version in 1..=PROTOCOL_VERSION {
+            let mut enc = Encoder::new();
+            enc.u8(1).bytes(MAGIC).u32(version);
+            let payload = enc.into_bytes();
+            assert_eq!(Frame::decode(&payload).unwrap(), Frame::Hello { version });
+            assert_eq!(Frame::Hello { version }.encode(), payload);
+        }
     }
 
     #[test]

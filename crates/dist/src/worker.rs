@@ -12,14 +12,15 @@
 //!
 //! Sessions are served one at a time: a worker models one board, and a
 //! board can only measure one coordinator's programs meaningfully.
+//!
+//! The worker never polls: it blocks in `accept` and in plain frame
+//! reads. [`WorkerHandle::kill`] unblocks it by shutting the session
+//! socket down and waking the accept with a loopback connection.
 
-use crate::proto::{
-    negotiate_version, read_frame, write_frame, DistError, Frame, MIN_PROTOCOL_VERSION,
-    PROTOCOL_VERSION,
-};
+use crate::proto::{read_frame, write_frame, DistError, Frame, PROTOCOL_VERSION};
 use gest_core::{catch_measure, EvalBackend, EvalRequest, GestConfig, LocalBackend, Registry};
-use std::io::{self, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -27,10 +28,6 @@ use std::time::{Duration, Instant};
 
 /// How often a busy worker emits `Heartbeat` frames.
 pub const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(500);
-
-/// Poll granularity for the accept loop and idle session reads; bounds
-/// how long a stop request can go unnoticed.
-const POLL_INTERVAL: Duration = Duration::from_millis(25);
 
 /// Best-effort host name for telemetry: `/proc`, then `$HOSTNAME`, then
 /// a fixed fallback — no libc call, keeping the crate dependency-free.
@@ -54,7 +51,8 @@ pub struct Worker {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     requests: Arc<AtomicU64>,
-    /// The current session's stream, for abrupt termination in tests.
+    /// The current session's stream, which [`WorkerHandle::kill`] shuts
+    /// down to unblock the session's reads.
     session: Arc<Mutex<Option<TcpStream>>>,
     once: bool,
 }
@@ -101,103 +99,79 @@ impl Worker {
     /// measurement failures) are reported to the peer and end only that
     /// session.
     pub fn run(&self) -> Result<(), DistError> {
-        self.listener.set_nonblocking(true)?;
         loop {
+            let accepted = self.listener.accept();
             if self.stop.load(Ordering::SeqCst) {
                 return Ok(());
             }
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    stream.set_nonblocking(false)?;
-                    let _ = stream.set_nodelay(true);
-                    *self.session.lock().unwrap() = Some(stream.try_clone()?);
-                    // Session errors are per-coordinator: log to stderr
-                    // and keep serving.
-                    if let Err(e) = self.session(stream) {
-                        if !e.is_clean_eof() {
-                            eprintln!("gest-dist worker: session ended: {e}");
-                        }
-                    }
-                    *self.session.lock().unwrap() = None;
-                    if self.once {
-                        return Ok(());
-                    }
+            let (stream, _peer) = accepted?;
+            let _ = stream.set_nodelay(true);
+            {
+                // Checked under the lock `kill` takes: a kill that lands
+                // between `accept` and here finds no stream to shut down,
+                // so the session must not start.
+                let mut session = self.session.lock().unwrap();
+                if self.stop.load(Ordering::SeqCst) {
+                    return Ok(());
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(POLL_INTERVAL);
+                *session = Some(stream.try_clone()?);
+            }
+            // Session errors are per-coordinator: log to stderr and keep
+            // serving.
+            if let Err(e) = self.session(stream) {
+                if !e.is_clean_eof() {
+                    eprintln!("gest-dist worker: session ended: {e}");
                 }
-                Err(e) => return Err(e.into()),
+            }
+            *self.session.lock().unwrap() = None;
+            if self.once {
+                return Ok(());
             }
         }
     }
 
-    /// Handshake + eval loop for one coordinator connection.
+    /// Handshake + eval loop for one coordinator connection. A clean
+    /// end of stream (the coordinator hung up, or `kill` shut the socket
+    /// down) surfaces as [`DistError::is_clean_eof`].
     fn session(&self, mut stream: TcpStream) -> Result<(), DistError> {
-        // Idle reads poll so a stop request interrupts a quiet session;
-        // sends and mid-frame reads retry through the same timeout.
-        stream.set_read_timeout(Some(POLL_INTERVAL))?;
-
-        // 1. Version handshake before anything else is interpreted. The
-        //    worker echoes the *negotiated* version — min(peer, ours) —
-        //    so a v2 worker still serves a v1 coordinator (and vice
-        //    versa: a newer coordinator downgrades to us).
-        let session_version = match self.read_polling(&mut stream)? {
-            Some(Frame::Hello { version }) => match negotiate_version(version) {
-                Some(negotiated) => negotiated,
-                None => {
-                    let message = format!(
-                        "protocol version mismatch: coordinator {version}, \
-                         worker speaks {MIN_PROTOCOL_VERSION}..={PROTOCOL_VERSION}"
-                    );
-                    let _ = write_frame(
-                        &mut stream,
-                        &Frame::Error {
-                            message: message.clone(),
-                        },
-                    );
-                    return Err(DistError::Protocol(message));
-                }
-            },
-            Some(other) => {
+        // 1. Version handshake before anything else is interpreted.
+        match read_frame(&mut stream)? {
+            Frame::Hello {
+                version: PROTOCOL_VERSION,
+            } => {}
+            Frame::Hello { version } => {
+                return Err(refuse(
+                    &mut stream,
+                    format!(
+                        "protocol version mismatch: coordinator speaks {version}, \
+                         worker speaks {PROTOCOL_VERSION}"
+                    ),
+                ))
+            }
+            other => {
                 return Err(DistError::Protocol(format!(
                     "expected Hello, got {other:?}"
                 )))
             }
-            None => return Ok(()),
-        };
-        write_frame(
-            &mut stream,
-            &Frame::Hello {
-                version: session_version,
-            },
-        )?;
+        }
+        write_frame(&mut stream, &Frame::hello())?;
 
         // 2. Configuration: parse, re-render, fingerprint the re-render.
         //    A schema mismatch between coordinator and worker builds
         //    changes the re-rendering, so the coordinator sees a
         //    different fingerprint than it computed and refuses the
         //    worker rather than silently measuring something else.
-        let xml = match self.read_polling(&mut stream)? {
-            Some(Frame::Config { xml }) => xml,
-            Some(other) => {
+        let xml = match read_frame(&mut stream)? {
+            Frame::Config { xml } => xml,
+            other => {
                 return Err(DistError::Protocol(format!(
                     "expected Config, got {other:?}"
                 )))
             }
-            None => return Ok(()),
         };
         let config = match GestConfig::from_xml_str(&xml) {
             Ok(config) => config,
-            Err(e) => {
-                let message = format!("config rejected: {e}");
-                let _ = write_frame(
-                    &mut stream,
-                    &Frame::Error {
-                        message: message.clone(),
-                    },
-                );
-                return Err(DistError::Protocol(message));
-            }
+            Err(e) => return Err(refuse(&mut stream, format!("config rejected: {e}"))),
         };
         let fingerprint = config.fingerprint();
         let measurement = match Registry::default().build_measurement(
@@ -206,16 +180,7 @@ impl Worker {
             config.run_config,
         ) {
             Ok(measurement) => measurement,
-            Err(e) => {
-                let message = format!("measurement unavailable: {e}");
-                let _ = write_frame(
-                    &mut stream,
-                    &Frame::Error {
-                        message: message.clone(),
-                    },
-                );
-                return Err(DistError::Protocol(message));
-            }
+            Err(e) => return Err(refuse(&mut stream, format!("measurement unavailable: {e}"))),
         };
         write_frame(
             &mut stream,
@@ -232,11 +197,7 @@ impl Worker {
         //    from "dead".
         let heartbeat = Heartbeat::start(stream.try_clone()?);
         loop {
-            let frame = match self.read_polling(&mut stream)? {
-                Some(frame) => frame,
-                None => return Ok(()),
-            };
-            match frame {
+            match read_frame(&mut stream)? {
                 Frame::EvalRequest {
                     generation,
                     candidate,
@@ -257,24 +218,11 @@ impl Worker {
                         .map(|(measurements, _detail)| measurements)
                         .map_err(|e| e.to_string());
                     let elapsed = started.elapsed().as_micros();
-                    let measure_us = u64::try_from(elapsed).unwrap_or(u64::MAX);
-                    // The measurement vector is identical either way: v2
-                    // only adds observability fields, so artifact bytes
-                    // never depend on the negotiated version. The three
-                    // cache fields are reserved and always zero.
-                    let reply = if session_version >= 2 {
-                        Frame::EvalResultV2 {
-                            candidate,
-                            outcome,
-                            measure_us,
-                            cache_hit: false,
-                            cache_hits: 0,
-                            cache_misses: 0,
-                        }
-                    } else {
-                        Frame::EvalResult { candidate, outcome }
-                    };
-                    heartbeat.finish(&reply)?;
+                    heartbeat.finish(&Frame::EvalResult {
+                        candidate,
+                        outcome,
+                        measure_us: u64::try_from(elapsed).unwrap_or(u64::MAX),
+                    })?;
                 }
                 Frame::Heartbeat => {}
                 Frame::Shutdown => return Ok(()),
@@ -284,36 +232,6 @@ impl Worker {
                     )))
                 }
             }
-        }
-    }
-
-    /// Reads one frame, polling the stop flag between idle timeouts.
-    /// Returns `None` on clean end-of-session (EOF or stop request).
-    fn read_polling(&self, stream: &mut TcpStream) -> Result<Option<Frame>, DistError> {
-        loop {
-            if self.stop.load(Ordering::SeqCst) {
-                return Ok(None);
-            }
-            // Peek first so an idle timeout cannot split a frame header.
-            let mut probe = [0u8; 1];
-            match stream.peek(&mut probe) {
-                Ok(0) => return Ok(None),
-                Ok(_) => {}
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    continue;
-                }
-                Err(e) => return Err(e.into()),
-            }
-            // Data is pending: read the whole frame, riding out timeouts
-            // that hit mid-frame (the peer is mid-send).
-            return match read_frame(&mut RetryingReader { stream }) {
-                Ok(frame) => Ok(Some(frame)),
-                Err(e) if e.is_clean_eof() => Ok(None),
-                Err(e) => Err(e),
-            };
         }
     }
 
@@ -334,26 +252,16 @@ impl Worker {
     }
 }
 
-/// Reads that ride out `WouldBlock`/`TimedOut` from a read-timeout
-/// socket: used only once a frame is known to be in flight.
-struct RetryingReader<'a> {
-    stream: &'a mut TcpStream,
-}
-
-impl Read for RetryingReader<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        loop {
-            match self.stream.read(buf) {
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    continue;
-                }
-                other => return other,
-            }
-        }
-    }
+/// Tells the coordinator why its session is refused, then returns the
+/// same reason as this side's error.
+fn refuse(stream: &mut TcpStream, message: String) -> DistError {
+    let _ = write_frame(
+        stream,
+        &Frame::Error {
+            message: message.clone(),
+        },
+    );
+    DistError::Protocol(message)
 }
 
 /// A session's result writer and its one heartbeat thread. The thread
@@ -462,14 +370,9 @@ impl WorkerHandle {
     /// Kills the worker abruptly: severs any in-flight session socket
     /// (the coordinator sees a transport error, as with a real crash)
     /// and stops the accept loop. The port is free once this returns.
-    pub fn kill(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(stream) = self.session.lock().unwrap().take() {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-        }
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
-        }
+    /// Dropping the handle does the same.
+    pub fn kill(self) {
+        drop(self);
     }
 }
 
@@ -477,10 +380,14 @@ impl Drop for WorkerHandle {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(stream) = self.session.lock().unwrap().take() {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
+            let _ = stream.shutdown(Shutdown::Both);
         }
         if let Some(join) = self.join.take() {
-            let _ = join.join();
+            // An accept loop that cannot be woken is left detached
+            // rather than joined forever.
+            if gest_obs::wake_accept_loop(self.addr) {
+                let _ = join.join();
+            }
         }
     }
 }
@@ -494,6 +401,7 @@ mod tests {
         Frame::EvalResult {
             candidate,
             outcome: Ok(vec![candidate as f64]),
+            measure_us: candidate,
         }
     }
 

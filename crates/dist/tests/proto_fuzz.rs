@@ -4,37 +4,95 @@
 //! attacker-controlled lengths.
 
 use gest_dist::{DistError, Frame, MAX_FRAME};
+use gest_isa::{Gene, Instruction, Opcode, Operand, OperandSlot, Reg, VReg};
 use proptest::prelude::*;
 use std::io::Cursor;
 
+/// Strategy over valid instructions of every opcode.
+fn instruction_strategy() -> impl Strategy<Value = Instruction> {
+    (
+        0..Opcode::ALL.len(),
+        prop::collection::vec(any::<u8>(), 4),
+        any::<i64>(),
+        any::<u8>(),
+    )
+        .prop_map(|(op_index, regs, imm, target)| {
+            let opcode = Opcode::ALL[op_index];
+            let operands: Vec<Operand> = opcode
+                .slots()
+                .iter()
+                .zip(&regs)
+                .map(|(&slot, &reg)| match slot {
+                    OperandSlot::IntDst | OperandSlot::IntSrc => {
+                        Operand::Reg(Reg::new(reg % 16).unwrap())
+                    }
+                    OperandSlot::VecDst | OperandSlot::VecSrc => {
+                        Operand::VReg(VReg::new(reg % 16).unwrap())
+                    }
+                    OperandSlot::Imm => Operand::Imm(imm),
+                    OperandSlot::BranchTarget => Operand::Target(target),
+                })
+                .collect();
+            Instruction::new(opcode, operands).expect("operands fit by construction")
+        })
+}
+
+/// Strategy over genes: one to three instructions under a definition
+/// index, as the population codec's fuzzer draws them.
+fn gene_strategy() -> impl Strategy<Value = Gene> {
+    (
+        0usize..1000,
+        prop::collection::vec(instruction_strategy(), 1..4),
+    )
+        .prop_map(|(def_index, instrs)| Gene {
+            def_index,
+            instrs: instrs.into(),
+        })
+}
+
 /// Strategy over well-formed frames, for mutation-based cases: a raw
-/// tuple of randomness mapped onto one of the eight frame kinds.
+/// tuple of randomness mapped onto every frame kind, with both outcomes
+/// of the result frame.
 fn frame_strategy() -> impl Strategy<Value = Frame> {
     (
-        0u8..8,
+        0u8..10,
+        any::<u64>(),
         any::<u64>(),
         "[ -~]{0,48}",
         prop::collection::vec(any::<f64>(), 0..8),
+        prop::collection::vec(gene_strategy(), 0..6),
     )
-        .prop_map(|(kind, number, text, measurements)| match kind {
-            0 => Frame::hello(),
-            1 => Frame::Config { xml: text },
-            2 => Frame::ConfigAck {
-                fingerprint: number,
-                host: text,
+        .prop_map(
+            |(kind, number, measure_us, text, measurements, genes)| match kind {
+                0 => Frame::hello(),
+                1 => Frame::Hello {
+                    version: number as u32,
+                },
+                2 => Frame::Config { xml: text },
+                3 => Frame::ConfigAck {
+                    fingerprint: number,
+                    host: text,
+                },
+                4 => Frame::EvalRequest {
+                    generation: measure_us as u32,
+                    candidate: number,
+                    genes,
+                },
+                5 => Frame::EvalResult {
+                    candidate: number,
+                    outcome: Ok(measurements),
+                    measure_us,
+                },
+                6 => Frame::EvalResult {
+                    candidate: number,
+                    outcome: Err(text),
+                    measure_us,
+                },
+                7 => Frame::Heartbeat,
+                8 => Frame::Shutdown,
+                _ => Frame::Error { message: text },
             },
-            3 => Frame::EvalResult {
-                candidate: number,
-                outcome: Ok(measurements),
-            },
-            4 => Frame::EvalResult {
-                candidate: number,
-                outcome: Err(text),
-            },
-            5 => Frame::Heartbeat,
-            6 => Frame::Shutdown,
-            _ => Frame::Error { message: text },
-        })
+        )
 }
 
 proptest! {
