@@ -159,16 +159,20 @@ pub fn table4() -> Result<String, GestError> {
     let budget = Budget::paper();
     let power_virus = evolve("xgene2", "temperature", "default", budget, 2)?;
     // Equation 1 needs I_T and MAX_T; per the paper, "the maximum
-    // temperature can be obtained ... from a previous GA run" — use the
-    // power virus's measured temperature, and idle = static-power steady
-    // state.
-    let idle_c = machine.thermal.steady_state_c(machine.energy.static_w);
+    // temperature can be obtained ... from a previous GA run". The run
+    // supplies I_T (the static-power steady state); the registered
+    // constructor replaces the shipped TJMAX with the power virus's
+    // measured temperature.
     let max_c = power_virus.best.measurements[0];
+    let registry = gest_core::Registry::default().fitness("temp_simplicity", move |params| {
+        Ok(std::sync::Arc::new(gest_core::TempSimplicityFitness::new(
+            params.idle_c,
+            max_c,
+        )))
+    });
     let simple_config = gest_core::GestConfig::builder("xgene2")
         .measurement("temperature")
-        .fitness_impl(std::sync::Arc::new(gest_core::TempSimplicityFitness::new(
-            idle_c, max_c,
-        )))
+        .fitness("temp_simplicity")
         .population_size(budget.population)
         .individual_size(budget.individual)
         .generations(budget.generations)
@@ -176,6 +180,7 @@ pub fn table4() -> Result<String, GestError> {
         .build()?;
     let simple_virus = gest_core::GestRun::builder()
         .config(simple_config)
+        .registry(registry)
         .build()?
         .run()?;
     let ipc_virus = evolve("xgene2", "ipc", "default", budget, 4)?;
@@ -628,7 +633,6 @@ pub fn llc_stress() -> Result<String, GestError> {
     machine.mem_bytes = 1 << 20; // 1 MiB buffer: far larger than the 32 KiB L1
     let budget = Budget::paper();
     let config = gest_core::GestConfig::builder("xgene2")
-        .machine_config(machine.clone())
         .measurement("cache_miss")
         .pool(gest_core::llc_pool())
         .population_size(budget.population)
@@ -636,10 +640,11 @@ pub fn llc_stress() -> Result<String, GestError> {
         .generations(budget.generations.min(40))
         .seed(12)
         .build()?;
-    let summary = gest_core::GestRun::builder()
-        .config(config)
-        .build()?
-        .run()?;
+    // The widened machine is no preset, so the search measures through
+    // an explicit instance rather than the registry's by-name lookup.
+    let search_measurement =
+        gest_core::CacheMissMeasurement::new(machine.clone(), config.run_config);
+    let summary = run_with_measurement(config, std::sync::Arc::new(search_measurement))?;
 
     let mut out = String::from("LLC/DRAM stress search (cache-miss maximization)\n");
     let _ = writeln!(
@@ -775,7 +780,7 @@ pub fn mitigation() -> Result<String, GestError> {
 }
 
 /// Runs a search with an explicit measurement instance (used by the noise
-/// ablation).
+/// ablation and the LLC stress search).
 fn run_with_measurement(
     config: gest_core::GestConfig,
     measurement: std::sync::Arc<dyn gest_core::Measurement>,

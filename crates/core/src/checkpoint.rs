@@ -37,7 +37,7 @@
 //! generations after it.
 
 use crate::error::GestError;
-use crate::output::{atomic_write, SavedIndividual, WriteFs};
+use crate::output::{SavedIndividual, WriteFs};
 use gest_ga::{EngineState, GenerationSummary, OpCounts};
 use gest_isa::codec::{Decoder, Encoder};
 use gest_isa::CodecError;
@@ -214,20 +214,10 @@ impl Checkpoint {
         })
     }
 
-    /// Writes the manifest atomically into `dir` as
-    /// [`CHECKPOINT_FILE`].
-    ///
-    /// # Errors
-    ///
-    /// I/O errors.
-    pub fn save(&self, dir: &Path) -> Result<(), GestError> {
-        atomic_write(&dir.join(CHECKPOINT_FILE), &self.encode())?;
-        Ok(())
-    }
-
-    /// Like [`Checkpoint::save`], but through an explicit [`WriteFs`] —
-    /// the seam fault-injection harnesses use to simulate disk-full and
-    /// torn writes against the real persistence logic.
+    /// Writes the manifest atomically into `dir` as [`CHECKPOINT_FILE`]
+    /// through `fs` ([`crate::RealFs`] in production) — the seam
+    /// fault-injection harnesses use to simulate disk-full and torn
+    /// writes against the real persistence logic.
     ///
     /// # Errors
     ///
@@ -344,7 +334,7 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         assert!(matches!(Checkpoint::load(&dir), Err(GestError::Config(_))));
         let checkpoint = sample_checkpoint();
-        checkpoint.save(&dir).unwrap();
+        checkpoint.save_via(&dir, &crate::RealFs).unwrap();
         assert_eq!(Checkpoint::load(&dir).unwrap(), checkpoint);
         assert!(
             !dir.join("checkpoint.bin.tmp").exists(),

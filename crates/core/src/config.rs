@@ -13,7 +13,13 @@ use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
 /// Everything a GeST run needs (paper Figure 1, "inputs").
-#[derive(Debug, Clone)]
+///
+/// Every field but the three execution details (`threads`, `lane_width`,
+/// `eval_cache_bytes`) is a setting [`to_xml`](GestConfig::to_xml)
+/// renders and [`from_xml_str`](GestConfig::from_xml_str) reads back, so
+/// a run's `config.xml` rebuilds it exactly. Telemetry, the cache switch
+/// and custom plug-in instances go to [`crate::GestRunBuilder`].
+#[derive(Debug, Clone, PartialEq)]
 pub struct GestConfig {
     /// The target machine model.
     pub machine: MachineConfig,
@@ -28,7 +34,9 @@ pub struct GestConfig {
     pub generations: u32,
     /// RNG seed; equal seeds reproduce runs exactly.
     pub seed: u64,
-    /// Simulated-measurement parameters.
+    /// Simulated-measurement parameters. XML carries `max_iterations`,
+    /// `max_cycles` and `thermal_hold_s`; a run rebuilt from `config.xml`
+    /// has the default `peak_window` and `steady_detect`.
     pub run_config: RunConfig,
     /// The instruction/operand search space.
     pub pool: Arc<InstructionPool>,
@@ -55,28 +63,11 @@ pub struct GestConfig {
     /// How measurement failures of individual candidates are handled
     /// (retries, deadline, quarantine) — see [`FaultPolicy`].
     pub fault_policy: FaultPolicy,
-    /// Probability a mutation replaces the whole instruction (vs one
-    /// operand).
-    pub whole_instruction_mutation_prob: f64,
-    /// A concrete fitness instance overriding `fitness_name` — the
-    /// programmatic equivalent of dropping a custom fitness class next to
-    /// the framework (paper §III.C). `None` resolves `fitness_name` from
-    /// the shipped registry.
-    pub fitness_override: Option<std::sync::Arc<dyn crate::Fitness>>,
-    /// Observability handle the run reports spans and metrics through.
-    /// Disabled by default (near-zero overhead); telemetry only observes
-    /// the search, so enabling it never changes the evolved result.
-    pub telemetry: gest_telemetry::Telemetry,
-    /// Content-addressed evaluation caching: identical candidates (same
-    /// genes, same run configuration) reuse earlier measurements instead
-    /// of re-simulating. Only content-pure measurements are cached, so
-    /// caching never changes the evolved result. Not serialized to XML —
-    /// like `threads`, it is an execution detail, not part of the search's
-    /// identity, and must not perturb checkpoint fingerprints.
-    pub eval_cache: bool,
     /// Memory cap of the evaluation cache, in bytes (approximate; counts
     /// entry payloads and bookkeeping). Least-recently-used entries are
-    /// evicted past the cap.
+    /// evicted past the cap. An execution detail like `threads`: not
+    /// serialized to XML, and a cache hit is bit-identical to a fresh
+    /// measurement at any cap.
     pub eval_cache_bytes: usize,
 }
 
@@ -254,6 +245,11 @@ impl GestConfig {
         let mut run = Element::new("run");
         run.set_attr("max_iterations", self.run_config.max_iterations.to_string());
         run.set_attr("max_cycles", self.run_config.max_cycles.to_string());
+        // Written only when set, so default configurations keep their
+        // bytes (and their fingerprints).
+        if self.run_config.thermal_hold_s != RunConfig::quick().thermal_hold_s {
+            run.set_attr("thermal_hold_s", self.run_config.thermal_hold_s.to_string());
+        }
         if let Some(every) = self.checkpoint_every {
             run.set_attr("checkpoint_every", every.to_string());
         }
@@ -311,7 +307,6 @@ fn parse_attr<T: std::str::FromStr>(name: &str, value: &str) -> Result<T, GestEr
 #[derive(Debug, Clone)]
 pub struct GestConfigBuilder {
     machine_name: String,
-    machine_override: Option<MachineConfig>,
     measurement_name: String,
     fitness_name: String,
     ga: GaConfig,
@@ -326,10 +321,6 @@ pub struct GestConfigBuilder {
     lane_width: usize,
     checkpoint_every: Option<u32>,
     fault_policy: FaultPolicy,
-    whole_instruction_mutation_prob: f64,
-    fitness_override: Option<std::sync::Arc<dyn crate::Fitness>>,
-    telemetry: gest_telemetry::Telemetry,
-    eval_cache: bool,
     eval_cache_bytes: usize,
 }
 
@@ -337,7 +328,6 @@ impl GestConfigBuilder {
     fn new(machine: &str) -> GestConfigBuilder {
         GestConfigBuilder {
             machine_name: machine.to_owned(),
-            machine_override: None,
             measurement_name: "power".into(),
             fitness_name: "default".into(),
             ga: GaConfig::default(),
@@ -352,45 +342,13 @@ impl GestConfigBuilder {
             lane_width: 1,
             checkpoint_every: None,
             fault_policy: FaultPolicy::default(),
-            whole_instruction_mutation_prob: 0.5,
-            fitness_override: None,
-            telemetry: gest_telemetry::Telemetry::disabled(),
-            eval_cache: true,
             eval_cache_bytes: DEFAULT_EVAL_CACHE_BYTES,
         }
-    }
-
-    /// Enables or disables the content-addressed evaluation cache
-    /// (enabled by default).
-    pub fn eval_cache(mut self, on: bool) -> Self {
-        self.eval_cache = on;
-        self
     }
 
     /// Sets the evaluation cache's approximate memory cap in bytes.
     pub fn eval_cache_bytes(mut self, bytes: usize) -> Self {
         self.eval_cache_bytes = bytes;
-        self
-    }
-
-    /// Installs an observability handle; the run reports spans, progress
-    /// points, and metrics through it (see the `gest-telemetry` crate).
-    pub fn telemetry(mut self, telemetry: gest_telemetry::Telemetry) -> Self {
-        self.telemetry = telemetry;
-        self
-    }
-
-    /// Installs a custom fitness implementation (overrides the name-based
-    /// registry lookup), mirroring the paper's user-written fitness
-    /// classes.
-    pub fn fitness_impl(mut self, fitness: std::sync::Arc<dyn crate::Fitness>) -> Self {
-        self.fitness_override = Some(fitness);
-        self
-    }
-
-    /// Uses a custom machine model instead of a preset.
-    pub fn machine_config(mut self, machine: MachineConfig) -> Self {
-        self.machine_override = Some(machine);
         self
     }
 
@@ -450,12 +408,6 @@ impl GestConfigBuilder {
         self
     }
 
-    /// Sets the per-measurement simulation budget.
-    pub fn run_config(mut self, run_config: RunConfig) -> Self {
-        self.run_config = run_config;
-        self
-    }
-
     /// Sets the instruction pool.
     pub fn pool(mut self, pool: InstructionPool) -> Self {
         self.pool = Some(pool);
@@ -508,12 +460,6 @@ impl GestConfigBuilder {
         self
     }
 
-    /// Sets the whole-instruction vs operand mutation split.
-    pub fn whole_instruction_mutation_prob(mut self, prob: f64) -> Self {
-        self.whole_instruction_mutation_prob = prob;
-        self
-    }
-
     fn apply_ga_element(mut self, ga: &Element) -> Result<Self, GestError> {
         if let Some(value) = ga.attr("population_size") {
             self.ga.population_size = parse_attr("population_size", value)?;
@@ -560,18 +506,15 @@ impl GestConfigBuilder {
     /// [`GestError::Config`] for unknown machine names,
     /// [`GestError::Ga`] for invalid GA parameters.
     pub fn build(self) -> Result<GestConfig, GestError> {
-        let machine = match self.machine_override {
-            Some(machine) => machine,
-            None => MachineConfig::all_presets()
-                .into_iter()
-                .find(|m| m.name == self.machine_name)
-                .ok_or_else(|| {
-                    GestError::Config(format!(
-                        "unknown machine {:?} (presets: cortex-a15, cortex-a7, xgene2, athlon-x4)",
-                        self.machine_name
-                    ))
-                })?,
-        };
+        let machine = MachineConfig::all_presets()
+            .into_iter()
+            .find(|m| m.name == self.machine_name)
+            .ok_or_else(|| {
+                GestError::Config(format!(
+                    "unknown machine {:?} (presets: cortex-a15, cortex-a7, xgene2, athlon-x4)",
+                    self.machine_name
+                ))
+            })?;
         self.ga.validate()?;
         if self.generations == 0 {
             return Err(GestError::Config("generations must be at least 1".into()));
@@ -579,11 +522,6 @@ impl GestConfigBuilder {
         if self.checkpoint_every == Some(0) {
             return Err(GestError::Config(
                 "checkpoint_every must be at least 1 (omit it to disable checkpointing)".into(),
-            ));
-        }
-        if !(0.0..=1.0).contains(&self.whole_instruction_mutation_prob) {
-            return Err(GestError::Config(
-                "whole_instruction_mutation_prob outside [0, 1]".into(),
             ));
         }
         Ok(GestConfig {
@@ -602,10 +540,6 @@ impl GestConfigBuilder {
             lane_width: self.lane_width,
             checkpoint_every: self.checkpoint_every,
             fault_policy: self.fault_policy,
-            whole_instruction_mutation_prob: self.whole_instruction_mutation_prob,
-            fitness_override: self.fitness_override,
-            telemetry: self.telemetry,
-            eval_cache: self.eval_cache,
             eval_cache_bytes: self.eval_cache_bytes,
         })
     }

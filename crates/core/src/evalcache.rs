@@ -23,7 +23,7 @@
 //! records on load — the healthy remainder still warms the cache.
 
 use crate::error::GestError;
-use crate::output::{atomic_write, WriteFs};
+use crate::output::WriteFs;
 use gest_ga::Fnv128;
 use gest_isa::codec::{Decoder, Encoder, Sink};
 use gest_isa::Gene;
@@ -521,19 +521,10 @@ impl EvalCache {
         enc.into_bytes()
     }
 
-    /// Writes the sidecar atomically into `dir` as [`EVAL_CACHE_FILE`].
-    ///
-    /// # Errors
-    ///
-    /// I/O errors.
-    pub fn save(&self, dir: &Path) -> Result<(), GestError> {
-        atomic_write(&dir.join(EVAL_CACHE_FILE), &self.encode())?;
-        Ok(())
-    }
-
-    /// Like [`EvalCache::save`], but through an explicit [`WriteFs`] —
-    /// the seam fault-injection harnesses use to simulate disk-full and
-    /// corrupted sidecar writes against the real persistence logic.
+    /// Writes the sidecar atomically into `dir` as [`EVAL_CACHE_FILE`]
+    /// through `fs` ([`crate::RealFs`] in production) — the seam
+    /// fault-injection harnesses use to simulate disk-full and corrupted
+    /// sidecar writes against the real persistence logic.
     ///
     /// # Errors
     ///
@@ -737,7 +728,7 @@ mod tests {
         let cache = EvalCache::new(1 << 20, 99);
         cache.insert(key(1), value(1.0));
         cache.insert(key(2), value(2.0));
-        cache.save(&dir).unwrap();
+        cache.save_via(&dir, &crate::RealFs).unwrap();
 
         let restored = EvalCache::load(&dir, 99, 1 << 20);
         let out = restored.get(&key(2)).unwrap();
@@ -767,7 +758,7 @@ mod tests {
         cache.insert(key(1), value(1.0));
         cache.insert(key(2), value(2.0));
         cache.insert(key(3), value(3.0));
-        cache.save(&dir).unwrap();
+        cache.save_via(&dir, &crate::RealFs).unwrap();
 
         // Flip one bit in the final record (its trailing CRC byte): only
         // that record may be lost.
@@ -798,7 +789,7 @@ mod tests {
         cache.insert(key(1), value(1.0));
         cache.insert(key(2), value(2.0));
         cache.insert(key(3), value(3.0));
-        cache.save(&dir).unwrap();
+        cache.save_via(&dir, &crate::RealFs).unwrap();
 
         let bytes = std::fs::read(dir.join(EVAL_CACHE_FILE)).unwrap();
         std::fs::write(dir.join(EVAL_CACHE_FILE), &bytes[..bytes.len() - 6]).unwrap();

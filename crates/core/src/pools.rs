@@ -360,9 +360,9 @@ mod tests {
         let body = gest_isa::InstructionPool::flatten(&genes);
         let program = Template::default_stress().materialize("t", body);
         let mut state = ArchState::new(1 << 14);
-        program.apply_init(&mut state).unwrap();
+        program.apply_init(&mut state);
         for instr in &program.body {
-            instr.execute(&mut state).unwrap();
+            instr.apply(&mut state);
         }
     }
 
@@ -380,9 +380,9 @@ mod tests {
         let body = gest_isa::InstructionPool::flatten(&genes);
         let program = Template::default_stress().materialize("llc", body);
         let mut state = ArchState::new(1 << 20);
-        program.apply_init(&mut state).unwrap();
+        program.apply_init(&mut state);
         for instr in &program.body {
-            instr.execute(&mut state).unwrap();
+            instr.apply(&mut state);
         }
     }
 

@@ -199,7 +199,7 @@ pub struct GestRunBuilder {
     resume_dir: Option<PathBuf>,
     measurement: Option<Arc<dyn Measurement>>,
     registry: Option<Registry>,
-    telemetry: Option<Telemetry>,
+    telemetry: Telemetry,
     eval_cache: Option<bool>,
     eval_cache_handle: Option<Arc<EvalCache>>,
     eval_backend: Option<Arc<dyn EvalBackend>>,
@@ -241,17 +241,20 @@ impl GestRunBuilder {
         self
     }
 
-    /// Overrides the configuration's telemetry handle (convenient when
-    /// the configuration came from XML, which cannot carry one).
+    /// Installs an observability handle; the run reports spans, progress
+    /// points, and metrics through it (see the `gest-telemetry` crate).
+    /// Disabled by default (near-zero overhead); telemetry only observes
+    /// the search, so enabling it never changes the evolved result.
     pub fn telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = Some(telemetry);
+        self.telemetry = telemetry;
         self
     }
 
-    /// Forces the evaluation cache on or off, overriding
-    /// [`GestConfig::eval_cache`] — needed for resumed runs, whose
-    /// configuration is read back from `config.xml` (which does not carry
-    /// execution details), and for the CLI's `--no-eval-cache` flag.
+    /// Enables or disables content-addressed evaluation caching (enabled
+    /// by default): identical candidates reuse earlier measurements
+    /// instead of re-simulating. Only content-pure measurements are
+    /// cached, so caching never changes the evolved result, and like
+    /// telemetry it is not part of `config.xml`.
     pub fn eval_cache(mut self, on: bool) -> Self {
         self.eval_cache = Some(on);
         self
@@ -373,14 +376,8 @@ impl GestRunBuilder {
                 (config, fingerprint, Some(resume))
             }
         };
-        // Execution details only: none of them reaches `config.xml`, so
-        // the fingerprint above holds with or without them.
-        if let Some(telemetry) = self.telemetry {
-            config.telemetry = telemetry;
-        }
-        if let Some(on) = self.eval_cache {
-            config.eval_cache = on;
-        }
+        // An execution detail: it does not reach `config.xml`, so the
+        // fingerprint above holds with or without it.
         if let Some(lane_width) = self.lane_width {
             config.lane_width = lane_width;
         }
@@ -398,6 +395,8 @@ impl GestRunBuilder {
             measurement,
             &registry,
             resume,
+            self.telemetry,
+            self.eval_cache.unwrap_or(true),
             self.eval_cache_handle,
             self.eval_backend,
             self.write_fs,
@@ -441,29 +440,27 @@ impl GestRun {
         measurement: Arc<dyn Measurement>,
         registry: &Registry,
         resume: Option<ResumeState>,
+        telemetry: Telemetry,
+        eval_cache: bool,
         shared_cache: Option<Arc<EvalCache>>,
         backend: Option<Arc<dyn EvalBackend>>,
         write_fs: Option<Arc<dyn WriteFs>>,
     ) -> Result<GestRun, GestError> {
         // Equation-1 parameters: idle temperature = steady state under
-        // static power alone; max = TJMAX (overridable via
-        // `fitness_override`).
+        // static power alone; max = TJMAX (a registered constructor may
+        // use another, e.g. one measured by a previous search).
         let idle_c = config
             .machine
             .thermal
             .steady_state_c(config.machine.energy.static_w);
-        let fitness = match &config.fitness_override {
-            Some(custom) => Arc::clone(custom),
-            None => registry.build_fitness(
-                &config.fitness_name,
-                FitnessParams {
-                    idle_c,
-                    max_c: config.machine.thermal.tjmax_c,
-                },
-            )?,
-        };
-        let genetics = PoolGenetics::new(Arc::clone(&config.pool))
-            .with_whole_instruction_prob(config.whole_instruction_mutation_prob);
+        let fitness = registry.build_fitness(
+            &config.fitness_name,
+            FitnessParams {
+                idle_c,
+                max_c: config.machine.thermal.tjmax_c,
+            },
+        )?;
+        let genetics = PoolGenetics::new(Arc::clone(&config.pool));
         let mut engine = GaEngine::new(config.ga, genetics, config.seed);
         let writer = match &resume {
             Some(state) => Some(OutputWriter::reopen(&state.dir)?),
@@ -472,7 +469,6 @@ impl GestRun {
                 None => None,
             },
         };
-        let telemetry = config.telemetry.clone();
         let resumed_from = resume.as_ref().map(|state| state.checkpoint.generation);
         let run_span = Some(telemetry.span_with(
             "run",
@@ -494,7 +490,7 @@ impl GestRun {
         // as-is (already warm); otherwise, on resume the sidecar written
         // by the last checkpoint warms the cache back up (best-effort — a
         // missing or stale sidecar just starts cold).
-        let eval_cache = if config.eval_cache && measurement.content_pure() {
+        let eval_cache = if eval_cache && measurement.content_pure() {
             Some(match shared_cache {
                 Some(cache) if cache.config_fingerprint() == fingerprint => cache,
                 _ => Arc::new(match &resume {
@@ -1427,6 +1423,14 @@ mod tests {
         GestRun::builder().config(config).build().unwrap()
     }
 
+    fn build_traced(config: GestConfig, telemetry: Telemetry) -> GestRun {
+        GestRun::builder()
+            .config(config)
+            .telemetry(telemetry)
+            .build()
+            .unwrap()
+    }
+
     /// Every individual carries the id, parents and genes of the
     /// candidate in its position: evaluation moves them, it never
     /// reorders or mixes them up.
@@ -1492,9 +1496,14 @@ mod tests {
         // Without the cache every candidate rides a batch lane; the
         // search still cannot tell.
         let mut uncached_cfg = tiny_config("cortex-a15", "power");
-        uncached_cfg.eval_cache = false;
         uncached_cfg.lane_width = 8;
-        let uncached = build_run(uncached_cfg).run().unwrap();
+        let uncached = GestRun::builder()
+            .config(uncached_cfg)
+            .eval_cache(false)
+            .build()
+            .unwrap()
+            .run()
+            .unwrap();
         assert_eq!(uncached.best.genes, narrow.best.genes);
         assert_eq!(uncached.best.fitness, narrow.best.fitness);
     }
@@ -1613,7 +1622,7 @@ mod tests {
             sink.events()
                 .iter()
                 .any(|e| matches!(e, Event::SpanStart { name, .. } if name == "run")),
-            "builder-supplied telemetry overrides the config's disabled handle"
+            "builder-supplied telemetry reaches the run"
         );
     }
 
@@ -1659,10 +1668,9 @@ mod tests {
         use gest_telemetry::{Event, MemorySink};
 
         let sink = Arc::new(MemorySink::default());
-        let mut config = tiny_config("cortex-a15", "power");
-        config.telemetry = Telemetry::new(sink.clone());
         let summary = GestRun::builder()
-            .config(config)
+            .config(tiny_config("cortex-a15", "power"))
+            .telemetry(Telemetry::new(sink.clone()))
             .measurement(Arc::new(Panicky))
             .build()
             .unwrap()
@@ -1712,8 +1720,7 @@ mod tests {
         let run_with = |telemetry: Telemetry| {
             let mut config = tiny_config("athlon-x4", "voltage_noise");
             config.generations = 40;
-            config.telemetry = telemetry;
-            let mut run = build_run(config);
+            let mut run = build_traced(config, telemetry);
             let mut steps = Vec::new();
             loop {
                 let outcome = run.step().unwrap();
@@ -1795,9 +1802,9 @@ mod tests {
             let telemetry = Telemetry::new(Arc::new(MemorySink::default()));
             let mut config = tiny_config("cortex-a15", "power");
             config.lane_width = lane_width;
-            config.telemetry = telemetry.clone();
             let mut run = GestRun::builder()
                 .config(config)
+                .telemetry(telemetry.clone())
                 .measurement(Arc::new(Faulty))
                 .build()
                 .unwrap();
@@ -1874,9 +1881,12 @@ mod tests {
         use gest_telemetry::{Event, MemorySink};
 
         let sink = Arc::new(MemorySink::default());
-        let mut config = tiny_config("cortex-a7", "power");
-        config.telemetry = Telemetry::new(sink.clone());
-        let traced = build_run(config).run().unwrap();
+        let traced = build_traced(
+            tiny_config("cortex-a7", "power"),
+            Telemetry::new(sink.clone()),
+        )
+        .run()
+        .unwrap();
 
         // Telemetry observes the search without perturbing it.
         let plain = build_run(tiny_config("cortex-a7", "power")).run().unwrap();
@@ -2089,9 +2099,12 @@ mod tests {
         use gest_telemetry::{Event, MemorySink};
 
         let sink = Arc::new(MemorySink::default());
-        let mut config = tiny_config("cortex-a7", "power");
-        config.telemetry = Telemetry::new(sink.clone());
-        build_run(config).run().unwrap();
+        build_traced(
+            tiny_config("cortex-a7", "power"),
+            Telemetry::new(sink.clone()),
+        )
+        .run()
+        .unwrap();
         let events = sink.events();
         let counter = |wanted: &str| {
             events.iter().find_map(|e| match e {

@@ -260,9 +260,9 @@ fn parse_search_flags(args: &[String], allow_checkpoint: bool) -> Result<SearchF
 }
 
 /// Everything `build_telemetry` assembles for a search command.
-#[derive(Default)]
 struct TelemetryStack {
-    telemetry: Option<Telemetry>,
+    /// Disabled when no flag asked for a sink.
+    telemetry: Telemetry,
     trace_path: Option<PathBuf>,
     /// Present when `--status-addr` was given: the sink the status
     /// endpoint reads its live state from.
@@ -309,15 +309,10 @@ fn build_telemetry(
         sinks.push(Arc::clone(&obs) as Arc<dyn Sink>);
         obs
     });
-    let telemetry = if sinks.is_empty() {
-        None
-    } else {
-        let sink = if sinks.len() == 1 {
-            sinks.remove(0)
-        } else {
-            Arc::new(MultiSink::new(sinks)) as Arc<dyn Sink>
-        };
-        Some(Telemetry::new(sink))
+    let telemetry = match sinks.len() {
+        0 => Telemetry::disabled(),
+        1 => Telemetry::new(sinks.remove(0)),
+        _ => Telemetry::new(Arc::new(MultiSink::new(sinks))),
     };
     Ok(TelemetryStack {
         telemetry,
@@ -724,10 +719,8 @@ fn cmd_run(args: &[String]) -> Result<(), GestError> {
     }
     let stack = build_telemetry(&flags, config.output_dir.as_deref(), false)?;
     let trace_path = stack.trace_path.clone();
-    if let Some(telemetry) = &stack.telemetry {
-        config.telemetry = telemetry.clone();
-    }
-    let status_server = start_status_server(&flags, &stack, &config.telemetry)?;
+    let telemetry = stack.telemetry.clone();
+    let status_server = start_status_server(&flags, &stack, &telemetry)?;
 
     eprintln!(
         "machine {}, measurement {}, population {}, loop {}, {} generations{}",
@@ -744,10 +737,10 @@ fn cmd_run(args: &[String]) -> Result<(), GestError> {
     let backend = connect_workers(
         &flags.workers,
         config.to_xml().to_string(),
-        config.telemetry.clone(),
+        telemetry.clone(),
         flags.local_fallback_after,
     )?;
-    let mut builder = GestRun::builder().config(config);
+    let mut builder = GestRun::builder().config(config).telemetry(telemetry);
     if let Some(backend) = backend {
         builder = builder.eval_backend(backend);
     }
@@ -772,11 +765,7 @@ fn cmd_resume(args: &[String]) -> Result<(), GestError> {
     let stack = build_telemetry(&flags, Some(&dir), true)?;
     let trace_path = stack.trace_path.clone();
     let telemetry = stack.telemetry.clone();
-    let status_server = start_status_server(
-        &flags,
-        &stack,
-        telemetry.as_ref().unwrap_or(&Telemetry::disabled()),
-    )?;
+    let status_server = start_status_server(&flags, &stack, &telemetry)?;
     // The coordinator must fingerprint the exact bytes the resume path
     // fingerprints: the directory's config.xml as-is.
     let backend = if flags.workers.is_empty() {
@@ -786,14 +775,11 @@ fn cmd_resume(args: &[String]) -> Result<(), GestError> {
         connect_workers(
             &flags.workers,
             raw,
-            telemetry.clone().unwrap_or_else(Telemetry::disabled),
+            telemetry.clone(),
             flags.local_fallback_after,
         )?
     };
-    let mut builder = GestRun::builder().resume_from(&dir);
-    if let Some(telemetry) = telemetry {
-        builder = builder.telemetry(telemetry);
-    }
+    let mut builder = GestRun::builder().resume_from(&dir).telemetry(telemetry);
     if let Some(backend) = backend {
         builder = builder.eval_backend(backend);
     }

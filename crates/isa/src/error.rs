@@ -92,42 +92,6 @@ impl fmt::Display for IsaError {
 
 impl Error for IsaError {}
 
-/// Errors raised during functional execution.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ExecError {
-    /// An instruction had operand kinds its opcode cannot execute
-    /// (only possible if validation was bypassed).
-    MalformedInstruction {
-        /// The offending opcode.
-        opcode: Opcode,
-    },
-    /// A branch skipped beyond the end of the executing block.
-    BranchOutOfRange {
-        /// The requested skip distance.
-        skip: u8,
-        /// Remaining instructions in the block.
-        remaining: usize,
-    },
-}
-
-impl fmt::Display for ExecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ExecError::MalformedInstruction { opcode } => {
-                write!(f, "malformed instruction for opcode {opcode}")
-            }
-            ExecError::BranchOutOfRange { skip, remaining } => {
-                write!(
-                    f,
-                    "branch skip {skip} exceeds remaining block length {remaining}"
-                )
-            }
-        }
-    }
-}
-
-impl Error for ExecError {}
-
 /// Errors from the binary population codec.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodecError {
@@ -195,15 +159,6 @@ mod tests {
         let text = err.to_string();
         assert!(text.contains("LDR"));
         assert!(text.contains("mem_result"));
-    }
-
-    #[test]
-    fn exec_error_messages() {
-        let err = ExecError::BranchOutOfRange {
-            skip: 9,
-            remaining: 3,
-        };
-        assert!(err.to_string().contains('9'));
     }
 
     #[test]

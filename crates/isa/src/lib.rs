@@ -30,7 +30,7 @@
 //! let mut state = ArchState::new(1 << 12);
 //! state.set_reg(Reg::new(2)?, 40);
 //! state.set_reg(Reg::new(3)?, 2);
-//! instr.execute(&mut state)?;
+//! instr.apply(&mut state);
 //! assert_eq!(state.reg(Reg::new(1)?), 42);
 //! # Ok(())
 //! # }
@@ -53,7 +53,7 @@ pub use def::{
     PoolBuilder,
 };
 pub use def_xml::{pool_from_xml, pool_to_xml};
-pub use error::{CodecError, ExecError, IsaError};
+pub use error::{CodecError, IsaError};
 pub use instruction::{Instruction, Operand};
 pub use opcode::{InstrClass, Opcode, OperandSlot};
 pub use program::{MemInit, Program};

@@ -2,7 +2,6 @@
 
 use crate::instruction::Instruction;
 use crate::semantics::{ArchState, Flow, CHECKERBOARD};
-use crate::ExecError;
 use std::fmt;
 
 /// How the data-memory buffer is initialized before a run.
@@ -66,32 +65,23 @@ impl Program {
 
     /// Applies memory initialization and executes the init block against
     /// `state`. Branches in the init block are honoured (taken skips).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ExecError`] from instruction execution.
-    pub fn apply_init(&self, state: &mut ArchState) -> Result<(), ExecError> {
+    pub fn apply_init(&self, state: &mut ArchState) {
         self.mem_init.apply(state);
-        self.apply_init_instrs(state)
+        self.apply_init_instrs(state);
     }
 
     /// Executes just the init instruction stream, without the memory
     /// fill. Batched simulation applies [`MemInit`] itself (seeding a
     /// shared content hash for the fill pattern) and then calls this.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ExecError`] from instruction execution.
-    pub fn apply_init_instrs(&self, state: &mut ArchState) -> Result<(), ExecError> {
+    pub fn apply_init_instrs(&self, state: &mut ArchState) {
         let mut pc = 0usize;
         while pc < self.init.len() {
-            let effect = self.init[pc].execute(state)?;
+            let effect = self.init[pc].apply(state);
             pc += 1;
             if let Flow::Skip(n) = effect.flow {
                 pc += n as usize;
             }
         }
-        Ok(())
     }
 
     /// The canonical checkerboard value used by stress templates.
@@ -144,7 +134,7 @@ mod tests {
             mem_init: MemInit::Checkerboard,
         };
         let mut state = ArchState::new(64);
-        program.apply_init(&mut state).unwrap();
+        program.apply_init(&mut state);
         assert_eq!(state.reg(Reg::new(3).unwrap()), 12);
         assert!(state.mem().iter().all(|&b| b == 0xAA));
     }
@@ -159,7 +149,7 @@ mod tests {
             mem_init: MemInit::Zero,
         };
         let mut state = ArchState::new(64);
-        program.apply_init(&mut state).unwrap();
+        program.apply_init(&mut state);
         assert_eq!(state.reg(Reg::new(1).unwrap()), 0, "skipped");
         assert_eq!(state.reg(Reg::new(2).unwrap()), 1);
     }
@@ -173,7 +163,7 @@ mod tests {
             mem_init: MemInit::Zero,
         };
         let mut state = ArchState::new(64);
-        program.apply_init(&mut state).unwrap();
+        program.apply_init(&mut state);
     }
 
     #[test]

@@ -11,7 +11,6 @@
 use crate::instruction::Instruction;
 use crate::opcode::Opcode;
 use crate::reg::{Reg, VReg, NUM_INT_REGS, NUM_VEC_REGS};
-use crate::ExecError;
 
 /// Control-flow outcome of one instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -634,30 +633,6 @@ impl Instruction {
             Opcode::Nop => Effect::default(),
         }
     }
-
-    /// [`apply`](Self::apply) for callers that propagate [`ExecError`].
-    ///
-    /// # Errors
-    ///
-    /// Never fails for instructions built through the public API, which
-    /// validates operand kinds; the `Result` is kept for callers that
-    /// propagate [`ExecError`].
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-    /// use gest_isa::{asm, ArchState, Flow};
-    /// let mut state = ArchState::new(64);
-    /// let b = asm::parse_line("B #2")?.unwrap();
-    /// let effect = b.execute(&mut state)?;
-    /// assert_eq!(effect.flow, Flow::Skip(2));
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn execute(&self, state: &mut ArchState) -> Result<Effect, ExecError> {
-        Ok(self.apply(state))
-    }
 }
 
 fn hamming(a: u64, b: u64) -> u32 {
@@ -685,11 +660,7 @@ mod tests {
     use crate::asm;
 
     fn run(state: &mut ArchState, line: &str) -> Effect {
-        asm::parse_line(line)
-            .unwrap()
-            .unwrap()
-            .execute(state)
-            .unwrap()
+        asm::parse_line(line).unwrap().unwrap().apply(state)
     }
 
     fn x(i: u8) -> Reg {
@@ -944,7 +915,7 @@ mod tests {
     fn nop_has_no_effect() {
         let mut s = ArchState::new(64);
         let before = s.clone();
-        let eff = Instruction::nop().execute(&mut s).unwrap();
+        let eff = Instruction::nop().apply(&mut s);
         assert_eq!(s, before);
         assert_eq!(eff, Effect::default());
     }

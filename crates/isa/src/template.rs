@@ -373,7 +373,7 @@ NOP
         let template = Template::default_stress();
         let program = template.materialize("d", Vec::new());
         let mut state = ArchState::new(1 << 12);
-        program.apply_init(&mut state).unwrap();
+        program.apply_init(&mut state);
         assert_eq!(state.reg(Reg::new(0).unwrap()), CHECKERBOARD);
         assert_eq!(state.reg(Reg::new(1).unwrap()), !CHECKERBOARD);
         assert_eq!(state.reg(Reg::new(10).unwrap()), 0);

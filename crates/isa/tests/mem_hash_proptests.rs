@@ -92,7 +92,7 @@ fn program_strategy() -> impl Strategy<Value = (usize, Program)> {
 /// Runs the program's body once against `state`.
 fn run_body(program: &Program, state: &mut ArchState) {
     for instr in &program.body {
-        instr.execute(state).unwrap();
+        instr.apply(state);
     }
 }
 
@@ -109,7 +109,7 @@ proptest! {
     #[test]
     fn incremental_hash_equals_a_forced_rescan((mem_size, program) in program_strategy()) {
         let mut state = ArchState::new(mem_size);
-        program.apply_init(&mut state).unwrap();
+        program.apply_init(&mut state);
         for _ in 0..3 {
             run_body(&program, &mut state);
             let incremental = state.mem_hash();
@@ -125,7 +125,7 @@ proptest! {
         (mem_size, program) in program_strategy(),
     ) {
         let mut state = ArchState::new(mem_size);
-        program.apply_init(&mut state).unwrap();
+        program.apply_init(&mut state);
         run_body(&program, &mut state);
 
         // Rebuild the same image from zero through stores alone, one
@@ -141,7 +141,7 @@ proptest! {
         for (index, word) in state.mem().chunks_exact(8).enumerate().rev() {
             rebuilt.set_reg(base, (index * 8) as u64);
             rebuilt.set_reg(value, u64::from_le_bytes(word.try_into().unwrap()));
-            store.execute(&mut rebuilt).unwrap();
+            store.apply(&mut rebuilt);
         }
         prop_assert_eq!(rebuilt.mem(), state.mem());
         prop_assert_eq!(rebuilt.mem_hash(), state.mem_hash());

@@ -67,7 +67,7 @@ proptest! {
         // ArchState would panic on OOB slice indexing otherwise).
         for _ in 0..4 {
             for instr in &block {
-                let effect = instr.execute(&mut state).unwrap();
+                let effect = instr.apply(&mut state);
                 if let Some(access) = effect.mem {
                     prop_assert!(access.addr + access.width <= state.mem_size());
                 }
@@ -92,7 +92,7 @@ proptest! {
         for _ in 0..8 {
             for instr in &block {
                 if fp_opcodes.contains(&instr.opcode()) {
-                    instr.execute(&mut state).unwrap();
+                    instr.apply(&mut state);
                     for dst in instr.vec_dsts() {
                         let lanes = state.vreg(dst);
                         prop_assert!(f64::from_bits(lanes[0]).is_finite());

@@ -11,7 +11,7 @@
 //! registry entry and, together with the run's checkpoint, the search
 //! itself.
 
-use gest_core::{GestError, RealFs, WriteFs};
+use gest_core::{GestError, WriteFs};
 use gest_telemetry::json::Value;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -210,18 +210,9 @@ impl RunEntry {
     }
 
     /// Writes the run's on-disk manifest (tmp + rename, so a crash
-    /// mid-write leaves the previous manifest in charge).
-    ///
-    /// # Errors
-    ///
-    /// I/O errors writing into the run directory.
-    pub fn persist(&self) -> Result<(), GestError> {
-        self.persist_via(&RealFs)
-    }
-
-    /// [`RunEntry::persist`] through an explicit write seam — the
-    /// production path with the service's [`WriteFs`], which chaos
-    /// harnesses substitute to inject registry-persist faults.
+    /// mid-write leaves the previous manifest in charge) through `fs`: the
+    /// service's [`WriteFs`], which chaos harnesses substitute to inject
+    /// registry-persist faults.
     ///
     /// # Errors
     ///
@@ -354,17 +345,7 @@ impl RunEntry {
 }
 
 /// Writes the state directory's run index: every id with its directory,
-/// in submission order.
-///
-/// # Errors
-///
-/// I/O errors writing into the state directory.
-pub fn save_index(state_dir: &Path, entries: &[RunEntry]) -> Result<(), GestError> {
-    save_index_via(&RealFs, state_dir, entries)
-}
-
-/// [`save_index`] through an explicit write seam (see
-/// [`RunEntry::persist_via`]).
+/// in submission order, through `fs` (see [`RunEntry::persist_via`]).
 ///
 /// # Errors
 ///
@@ -438,6 +419,7 @@ pub fn decode_index(text: &str) -> Result<Vec<(String, PathBuf)>, GestError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gest_core::RealFs;
 
     #[test]
     fn manifest_and_index_round_trip() {
@@ -454,7 +436,7 @@ mod tests {
             max_generations: Some(6),
             deadline: Some(Duration::from_secs(30)),
         };
-        entry.persist().unwrap();
+        entry.persist_via(&RealFs).unwrap();
 
         let loaded = RunEntry::load(&dir).unwrap();
         assert_eq!(loaded.id, "r1");
@@ -467,7 +449,7 @@ mod tests {
         assert_eq!(loaded.quota, entry.quota);
         assert_eq!(loaded.config_xml, "<gest seed=\"1\"/>");
 
-        save_index(&dir, std::slice::from_ref(&entry)).unwrap();
+        save_index_via(&RealFs, &dir, std::slice::from_ref(&entry)).unwrap();
         let index = load_index(&dir).unwrap();
         assert_eq!(index, vec![("r1".to_string(), dir.clone())]);
 

@@ -171,8 +171,7 @@ impl MultiCoreSimulator {
     ///
     /// # Errors
     ///
-    /// Propagates execution errors; [`SimError::EmptyProgram`] for empty
-    /// bodies.
+    /// [`SimError::EmptyProgram`] for empty bodies.
     pub fn run_replicated(
         &self,
         program: &Program,
@@ -194,8 +193,8 @@ impl MultiCoreSimulator {
         let mut core_states: Vec<Core> = (0..cores)
             .map(|_| {
                 let mut state = ArchState::new(self.buffer_bytes);
-                program.apply_init(&mut state)?;
-                Ok(Core {
+                program.apply_init(&mut state);
+                Core {
                     state,
                     pipeline: Pipeline::new(&self.machine),
                     l1: DataCache::new(self.machine.l1d),
@@ -203,9 +202,9 @@ impl MultiCoreSimulator {
                     energy_pj: 0.0,
                     retired: 0,
                     done: false,
-                })
+                }
             })
-            .collect::<Result<_, SimError>>()?;
+            .collect();
 
         let mut l2 = DataCache::new(self.uncore.l2);
         let mut bus_free: u64 = 0;
@@ -219,7 +218,7 @@ impl MultiCoreSimulator {
                 let mut pc = 0usize;
                 while pc < program.body.len() {
                     let instr = &program.body[pc];
-                    let effect = instr.execute(&mut core.state)?;
+                    let effect = instr.apply(&mut core.state);
                     let branch = if decoded[pc].is_branch {
                         let correct = core.predictor.update(pc, effect.branch_taken);
                         Some(BranchResolution {

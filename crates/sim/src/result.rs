@@ -2,7 +2,6 @@
 
 use crate::cache::CacheStats;
 use crate::pdn::VoltageStats;
-use gest_isa::ExecError;
 use std::error::Error;
 use std::fmt;
 
@@ -223,8 +222,6 @@ impl fmt::Display for RunResult {
 pub enum SimError {
     /// The program's loop body is empty: nothing to measure.
     EmptyProgram,
-    /// Functional execution failed.
-    Exec(ExecError),
     /// The program's scratch-memory expectations exceed the machine's
     /// buffer (must be a power of two within L1).
     BadMemSize {
@@ -244,7 +241,6 @@ impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SimError::EmptyProgram => write!(f, "program has an empty loop body"),
-            SimError::Exec(e) => write!(f, "execution failed: {e}"),
             SimError::BadMemSize { bytes } => {
                 write!(f, "machine scratch-memory size {bytes} is invalid")
             }
@@ -258,20 +254,7 @@ impl fmt::Display for SimError {
     }
 }
 
-impl Error for SimError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            SimError::Exec(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<ExecError> for SimError {
-    fn from(e: ExecError) -> Self {
-        SimError::Exec(e)
-    }
-}
+impl Error for SimError {}
 
 #[cfg(test)]
 mod tests {
@@ -329,12 +312,9 @@ mod tests {
 
     #[test]
     fn sim_error_display_and_source() {
-        let err = SimError::from(ExecError::BranchOutOfRange {
-            skip: 2,
-            remaining: 1,
-        });
-        assert!(err.to_string().contains("execution failed"));
-        assert!(err.source().is_some());
+        let err = SimError::BadMemSize { bytes: 3 };
+        assert!(err.to_string().contains("size 3"));
+        assert!(err.source().is_none());
         assert!(SimError::EmptyProgram.source().is_none());
     }
 }

@@ -252,8 +252,7 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// * [`SimError::EmptyProgram`] when the body has no instructions,
-    /// * [`SimError::Exec`] if functional execution fails.
+    /// [`SimError::EmptyProgram`] when the body has no instructions.
     pub fn run(&self, program: &Program, config: &RunConfig) -> Result<RunResult, SimError> {
         self.run_one(program, config, false, &mut RunScratch::new())
             .map(|(result, _)| result)
@@ -344,7 +343,7 @@ impl Simulator {
 
         let mut state = ArchState::new(self.machine.mem_bytes);
         program.mem_init.apply(&mut state);
-        program.apply_init_instrs(&mut state)?;
+        program.apply_init_instrs(&mut state);
         let cache = DataCache::new(self.machine.l1d);
 
         let mut run = ProgramRun::new(

@@ -253,12 +253,12 @@ struct Coverage {
 fn cover(programs: &[Program], mem_bytes: usize, coverage: &mut Coverage) {
     for program in programs {
         let mut state = ArchState::new(mem_bytes);
-        program.apply_init(&mut state).unwrap();
+        program.apply_init(&mut state);
         for _ in 0..4 {
             let mut pc = 0;
             while pc < program.body.len() {
                 let instr = &program.body[pc];
-                let effect = instr.execute(&mut state).unwrap();
+                let effect = instr.apply(&mut state);
                 let opcode = instr.opcode();
                 coverage.opcodes.insert(opcode);
                 if let Some(access) = effect.mem {

@@ -8,7 +8,7 @@
 
 use gest::core::{
     Checkpoint, FaultPolicy, GestConfig, GestError, GestRun, Measurement, OutputWriter,
-    PowerMeasurement, CHECKPOINT_FILE, EVAL_CACHE_FILE,
+    PowerMeasurement, RealFs, CHECKPOINT_FILE, EVAL_CACHE_FILE,
 };
 use gest::isa::Program;
 use gest::sim::MachineConfig;
@@ -106,6 +106,73 @@ fn resume_continues_bit_identically_to_an_uninterrupted_run() {
     assert_eq!(killed_manifest.engine, full_manifest.engine);
     assert_eq!(killed_manifest.history, full_manifest.history);
     assert_eq!(killed_manifest.best, full_manifest.best);
+
+    std::fs::remove_dir_all(&dir_killed).unwrap();
+    std::fs::remove_dir_all(&dir_full).unwrap();
+}
+
+/// A temperature search whose thermal hold is not the default: the one
+/// setting `config.xml` once dropped. Resume rebuilds the search from that
+/// file, so the hold must come back with it.
+fn held_temperature_config(dir: &Path) -> GestConfig {
+    let mut config = GestConfig::builder("xgene2")
+        .measurement("temperature")
+        .population_size(8)
+        .individual_size(10)
+        .generations(6)
+        .seed(31)
+        .threads(test_threads())
+        .output_dir(dir)
+        .checkpoint_every(1)
+        .build()
+        .unwrap();
+    config.run_config.thermal_hold_s = 0.5;
+    config
+}
+
+#[test]
+fn resume_keeps_a_non_default_thermal_hold() {
+    let dir_killed = temp_dir("hold_killed");
+    let dir_full = temp_dir("hold_full");
+
+    GestRun::builder()
+        .config(held_temperature_config(&dir_full))
+        .build()
+        .unwrap()
+        .run()
+        .unwrap();
+    {
+        let mut run = GestRun::builder()
+            .config(held_temperature_config(&dir_killed))
+            .build()
+            .unwrap();
+        for _ in 0..2 {
+            run.step().unwrap();
+        }
+    }
+    GestRun::resume(&dir_killed).unwrap().run().unwrap();
+
+    let killed_files = OutputWriter::population_files(&dir_killed).unwrap();
+    let full_files = OutputWriter::population_files(&dir_full).unwrap();
+    assert_eq!(killed_files.len(), 6);
+    assert_eq!(full_files.len(), 6);
+    for (a, b) in killed_files.iter().zip(&full_files) {
+        assert_eq!(
+            std::fs::read(a).unwrap(),
+            std::fs::read(b).unwrap(),
+            "{} differs from {}",
+            a.display(),
+            b.display()
+        );
+    }
+    let killed_manifest = Checkpoint::load(&dir_killed).unwrap();
+    let full_manifest = Checkpoint::load(&dir_full).unwrap();
+    assert_eq!(killed_manifest.generation, full_manifest.generation);
+    assert_eq!(killed_manifest.engine, full_manifest.engine);
+    assert_eq!(killed_manifest.history, full_manifest.history);
+    assert_eq!(killed_manifest.best, full_manifest.best);
+    let xml = std::fs::read_to_string(dir_killed.join("config.xml")).unwrap();
+    assert!(xml.contains(r#"thermal_hold_s="0.5""#), "{xml}");
 
     std::fs::remove_dir_all(&dir_killed).unwrap();
     std::fs::remove_dir_all(&dir_full).unwrap();
@@ -308,7 +375,7 @@ fn resume_refuses_a_checkpoint_before_the_first_generation() {
     let mut checkpoint = Checkpoint::load(&dir).unwrap();
     assert_eq!(checkpoint.generation, 2);
     checkpoint.generation = 0;
-    checkpoint.save(&dir).unwrap();
+    checkpoint.save_via(&dir, &RealFs).unwrap();
     let err = GestRun::resume(&dir).unwrap_err();
     assert!(
         err.to_string()

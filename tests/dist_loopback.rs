@@ -79,20 +79,35 @@ fn assert_identical(local: &BTreeMap<String, Vec<u8>>, dist: &BTreeMap<String, V
 /// snapshots its artifacts, leaving the directory clean for the
 /// distributed run to re-create at the same path.
 fn local_reference(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    local_reference_of(search_config(dir))
+}
+
+/// [`local_reference`] of any five-generation configuration with an
+/// output directory.
+fn local_reference_of(config: GestConfig) -> BTreeMap<String, Vec<u8>> {
+    let dir = config.output_dir.clone().unwrap();
     let summary = GestRun::builder()
-        .config(search_config(dir))
+        .config(config)
         .build()
         .unwrap()
         .run()
         .unwrap();
     assert_eq!(summary.generations, 5);
-    let snapshot = artifact_snapshot(dir);
-    std::fs::remove_dir_all(dir).unwrap();
+    let snapshot = artifact_snapshot(&dir);
+    std::fs::remove_dir_all(&dir).unwrap();
     snapshot
 }
 
 fn connect(workers: &[String], dir: &Path, telemetry: Telemetry) -> Arc<Coordinator> {
-    let config = search_config(dir);
+    connect_config(workers, &search_config(dir), telemetry)
+}
+
+/// A coordinator whose workers rebuild `config` from its `config.xml`.
+fn connect_config(
+    workers: &[String],
+    config: &GestConfig,
+    telemetry: Telemetry,
+) -> Arc<Coordinator> {
     Arc::new(
         Coordinator::connect(
             workers,
@@ -131,6 +146,45 @@ fn two_loopback_workers_match_local_artifacts_byte_for_byte() {
     assert!(worker_a.requests_served() > 0, "worker A never dispatched");
     assert!(worker_b.requests_served() > 0, "worker B never dispatched");
     assert!(telemetry.counter_value("dist.dispatches") > 0);
+    assert_eq!(telemetry.counter_value("dist.retries"), 0);
+
+    worker_a.kill();
+    worker_b.kill();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Workers rebuild the search's measurement from the `config.xml` the
+/// coordinator sends, so a setting that XML did not carry would be
+/// measured at its default. A temperature search with a non-default
+/// thermal hold must match its local reference.
+#[test]
+fn two_loopback_workers_keep_a_non_default_thermal_hold() {
+    let dir = temp_dir("hold");
+    let held = || {
+        let mut config = search_config(&dir);
+        config.machine = gest::sim::MachineConfig::xgene2();
+        config.measurement_name = "temperature".into();
+        config.run_config.thermal_hold_s = 0.5;
+        config
+    };
+    let local = local_reference_of(held());
+
+    let worker_a = Worker::bind("127.0.0.1:0").unwrap().spawn();
+    let worker_b = Worker::bind("127.0.0.1:0").unwrap().spawn();
+    let addrs = vec![worker_a.addr().to_string(), worker_b.addr().to_string()];
+    let telemetry = Telemetry::new(Arc::new(MemorySink::default()));
+    let coordinator = connect_config(&addrs, &held(), telemetry.clone());
+    GestRun::builder()
+        .config(held())
+        .eval_backend(coordinator)
+        .build()
+        .unwrap()
+        .run()
+        .unwrap();
+
+    assert_identical(&local, &artifact_snapshot(&dir));
+    assert!(worker_a.requests_served() > 0, "worker A never dispatched");
+    assert!(worker_b.requests_served() > 0, "worker B never dispatched");
     assert_eq!(telemetry.counter_value("dist.retries"), 0);
 
     worker_a.kill();

@@ -112,8 +112,7 @@ fn scraped_distributed_run_stays_byte_identical_with_a_merged_fleet_trace() {
     let server = StatusServer::start("127.0.0.1:0", telemetry.clone(), Arc::clone(&obs)).unwrap();
     let endpoint = server.addr().to_string();
 
-    let mut config = search_config(&dir);
-    config.telemetry = telemetry.clone();
+    let config = search_config(&dir);
     let coordinator = Arc::new(
         Coordinator::connect(
             &addrs,
@@ -125,6 +124,7 @@ fn scraped_distributed_run_stays_byte_identical_with_a_merged_fleet_trace() {
     );
     let mut run = GestRun::builder()
         .config(config)
+        .telemetry(telemetry.clone())
         .eval_backend(coordinator)
         .build()
         .unwrap();
@@ -236,10 +236,9 @@ fn concurrent_scrape_hammer_never_breaks_the_run_or_the_endpoint() {
         })
         .collect();
 
-    let mut config = search_config(&dir);
-    config.telemetry = telemetry.clone();
     let summary = GestRun::builder()
-        .config(config)
+        .config(search_config(&dir))
+        .telemetry(telemetry.clone())
         .build()
         .unwrap()
         .run()

@@ -58,7 +58,12 @@ fn reference_artifacts(
     seed: u64,
     generations: u32,
 ) -> (String, BTreeMap<String, Vec<u8>>) {
-    let config = search_config(dir, seed, generations);
+    reference_artifacts_of(search_config(dir, seed, generations))
+}
+
+/// [`reference_artifacts`] of any configuration with an output directory.
+fn reference_artifacts_of(config: GestConfig) -> (String, BTreeMap<String, Vec<u8>>) {
+    let dir = config.output_dir.clone().unwrap();
     let xml = config.to_xml().to_string();
     GestRun::builder()
         .config(config)
@@ -66,8 +71,8 @@ fn reference_artifacts(
         .unwrap()
         .run()
         .unwrap();
-    let snapshot = artifact_snapshot(dir);
-    std::fs::remove_dir_all(dir).unwrap();
+    let snapshot = artifact_snapshot(&dir);
+    std::fs::remove_dir_all(&dir).unwrap();
     (xml, snapshot)
 }
 
@@ -263,6 +268,44 @@ fn eviction_and_rehydration_keep_runs_bit_identical() {
 
     assert_matches_reference(&dir_a, &reference_a);
     assert_matches_reference(&dir_b, &reference_b);
+
+    drop(server);
+    for dir in [&state_dir, &dir_a, &dir_b] {
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+}
+
+/// The service rebuilds a run from its submitted `config.xml` on every
+/// activation, so a setting that XML did not carry would be lost from the
+/// first slice on. A temperature search with a non-default thermal hold,
+/// evicted and rehydrated every slice, must match its local reference.
+#[test]
+fn eviction_and_rehydration_keep_a_non_default_thermal_hold() {
+    let held = |dir: &Path, seed: u64| {
+        let mut config = search_config(dir, seed, 5);
+        config.machine = gest::sim::MachineConfig::xgene2();
+        config.measurement_name = "temperature".into();
+        config.run_config.thermal_hold_s = 0.5;
+        config
+    };
+    let state_dir = temp_dir("hold_state");
+    let dir_a = temp_dir("hold_a");
+    let dir_b = temp_dir("hold_b");
+    let (xml_a, reference_a) = reference_artifacts_of(held(&dir_a, 33));
+    let (xml_b, reference_b) = reference_artifacts_of(held(&dir_b, 44));
+
+    let mut options = ServeOptions::new(&state_dir);
+    options.max_active = 1;
+    let server = ServeServer::start("127.0.0.1:0", options).unwrap();
+    let addr = server.addr().to_string();
+
+    submit(&addr, &xml_a, "");
+    submit(&addr, &xml_b, "");
+    wait_until("both held runs done under eviction", || server.idle());
+
+    assert_matches_reference(&dir_a, &reference_a);
+    assert_matches_reference(&dir_b, &reference_b);
+    assert!(xml_a.contains(r#"thermal_hold_s="0.5""#), "{xml_a}");
 
     drop(server);
     for dir in [&state_dir, &dir_a, &dir_b] {

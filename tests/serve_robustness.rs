@@ -10,10 +10,10 @@
 
 use gest::core::{
     EvalBackend, EvalRequest, FaultPolicy, GestConfig, GestError, GestRun, LocalBackend,
-    OutputWriter, Registry, CHECKPOINT_FILE,
+    OutputWriter, RealFs, Registry, CHECKPOINT_FILE,
 };
 use gest::obs::http_request;
-use gest::serve::registry::{save_index, RUN_MANIFEST_FILE};
+use gest::serve::registry::{save_index_via, RUN_MANIFEST_FILE};
 use gest::serve::{RunEntry, ServeOptions, ServeServer};
 use gest::sim::RunResult;
 use gest::telemetry::json::Value;
@@ -465,7 +465,7 @@ fn out_of_range_deadlines_are_rejected_over_http_and_skipped_at_startup() {
     std::fs::create_dir_all(&run_dir).unwrap();
     let mut entry = RunEntry::new("hostile".into(), run_dir.clone(), xml.clone(), 1, 3);
     entry.quota.deadline = Some(Duration::from_secs(1));
-    entry.persist().unwrap();
+    entry.persist_via(&RealFs).unwrap();
     let manifest = run_dir.join(RUN_MANIFEST_FILE);
     let text = std::fs::read_to_string(&manifest).unwrap();
     assert!(text.contains("\"deadline_s\":1,"), "{text}");
@@ -475,7 +475,7 @@ fn out_of_range_deadlines_are_rejected_over_http_and_skipped_at_startup() {
     )
     .unwrap();
     std::fs::create_dir_all(&state_dir).unwrap();
-    save_index(&state_dir, &[entry]).unwrap();
+    save_index_via(&RealFs, &state_dir, &[entry]).unwrap();
 
     // The service starts, skipping the run it cannot decode.
     let server = ServeServer::start("127.0.0.1:0", ServeOptions::new(&state_dir)).unwrap();

@@ -16,7 +16,7 @@ fn traced_run_writes_parseable_jsonl_matching_summary() {
 
     let population_size = 5;
     let generations = 3;
-    let mut config = GestConfig::builder("cortex-a15")
+    let config = GestConfig::builder("cortex-a15")
         .measurement("power")
         .population_size(population_size)
         .individual_size(6)
@@ -24,9 +24,11 @@ fn traced_run_writes_parseable_jsonl_matching_summary() {
         .seed(7)
         .build()
         .unwrap();
-    config.telemetry = Telemetry::new(Arc::new(JsonlSink::create(&trace_path).unwrap()));
     let summary = GestRun::builder()
         .config(config)
+        .telemetry(Telemetry::new(Arc::new(
+            JsonlSink::create(&trace_path).unwrap(),
+        )))
         .build()
         .unwrap()
         .run()
